@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveSolutionError
+from .errors import NonPositiveSolutionError, SingularMatrixError
 from .linsolve import LinearSystem, solve
-from .matrix import DEFAULT_TOL, PCMatrix, Partition, Ranking, ensure_solvable, undefined_counts
+from .matrix import DEFAULT_TOL, PCMatrix, Partition, Ranking, ensure_solvable
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,34 +41,23 @@ class ArithmeticSystem:
     row_denominators: tuple[int, ...]
 
 
+@np.errstate(over="ignore")  # overflow gives inf, caught by solve_arithmetic
 def build_arithmetic_system(
     matrix: PCMatrix, partition: Partition, tol: float = DEFAULT_TOL
 ) -> ArithmeticSystem:
     """Assemble the averaged linear system after running the guard pipeline."""
     ensure_solvable(matrix, partition, tol)
-    n = matrix.n
     k = partition.k
-    counts = undefined_counts(matrix)
-    denominators = [n - counts[i] - 1 for i in range(k)]
-
-    coeff = [[0.0] * k for _ in range(k)]
-    constants = [0.0] * k
-    for i in range(k):
-        denom = float(denominators[i])
-        coeff[i][i] = 1.0
-        for j in range(k):
-            if j != i and matrix.defined(i, j):
-                coeff[i][j] = -(matrix.value(i, j) / denom)
-        acc = 0.0
-        for j in range(k, n):
-            if matrix.defined(i, j):
-                acc += matrix.value(i, j) * partition.known[j - k]
-        constants[i] = acc / denom
-
+    defined = matrix.mask[:k]
+    denominators = defined.sum(axis=1) - 1
+    coeff = np.where(defined[:, :k], -(matrix.array[:k, :k] / denominators[:, None]), 0.0)
+    np.fill_diagonal(coeff, 1.0)
+    terms = np.where(defined[:, k:], matrix.array[:k, k:] * np.array(partition.known), 0.0)
+    # Summed left to right (not with @, whose BLAS order differs), so the
+    # constants equal a plain running sum over j entry for entry.
+    constants = np.cumsum(terms, axis=1)[:, -1] / denominators
     return ArithmeticSystem(
-        coeff=np.array(coeff, dtype=float),
-        constants=np.array(constants, dtype=float),
-        row_denominators=tuple(denominators),
+        coeff=coeff, constants=constants, row_denominators=tuple(denominators.tolist())
     )
 
 
@@ -80,6 +69,8 @@ def solve_arithmetic(matrix: PCMatrix, partition: Partition, tol: float = DEFAUL
     any computed priority is not strictly positive.
     """
     system = build_arithmetic_system(matrix, partition, tol)
+    if not np.isfinite(system.constants).all():
+        raise SingularMatrixError("constant terms overflowed; the system cannot be solved")
     x = solve(LinearSystem(system.coeff, system.constants))
     if np.any(x <= 0.0):
         raise NonPositiveSolutionError(x)

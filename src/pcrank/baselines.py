@@ -41,7 +41,7 @@ def _as_array(matrix: PCMatrix) -> np.ndarray:
             f"matrix has {len(matrix.missing_pairs())} missing pair(s); "
             f"this method needs a complete matrix"
         )
-    return np.array(matrix.entries, dtype=float)
+    return matrix.array
 
 
 def evm(matrix: PCMatrix, max_iter: int = 10000, conv_tol: float = 1e-12) -> BaselineResult:

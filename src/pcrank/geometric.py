@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SingularMatrixError
 from .linsolve import LinearSystem, solve
-from .matrix import DEFAULT_TOL, PCMatrix, Partition, Ranking, ensure_solvable, undefined_counts
+from .matrix import DEFAULT_TOL, PCMatrix, Partition, Ranking, ensure_solvable
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,8 +32,10 @@ class GeometricSystem:
     ``coeff[i][i]`` is the defined-comparison count ``n - s_i - 1``;
     off-diagonal entries are -1 for a defined unknown-unknown comparison and
     0 for a missing one, so the zero pattern is symmetric.  ``constants[i]``
-    sums the logarithms of the defined ``c_ij`` toward unknowns plus the
-    logarithms of ``c_ij * w(a_j)`` toward knowns (empty sums contribute 0).
+    sums the logarithms of the defined ``c_ij`` toward unknowns plus
+    ``log c_ij + log w(a_j)`` toward knowns (empty sums contribute 0); the
+    logarithms are taken apart so that a product beyond the float range
+    cannot overflow.
     """
 
     coeff: np.ndarray
@@ -50,30 +53,15 @@ def build_geometric_system(
     if not (log_base > 0.0 and log_base != 1.0 and math.isfinite(log_base)):
         raise ValueError(f"log base must be positive, finite and != 1, got {log_base!r}")
     ensure_solvable(matrix, partition, tol)
-    n = matrix.n
     k = partition.k
-    counts = undefined_counts(matrix)
-    ln_base = math.log(log_base)
-
-    coeff = [[0.0] * k for _ in range(k)]
-    constants = [0.0] * k
-    for i in range(k):
-        coeff[i][i] = float(n - counts[i] - 1)
-        acc = 0.0
-        for j in range(k):
-            if j != i and matrix.defined(i, j):
-                coeff[i][j] = -1.0
-                acc += math.log(matrix.value(i, j))
-        for j in range(k, n):
-            if matrix.defined(i, j):
-                acc += math.log(matrix.value(i, j) * partition.known[j - k])
-        constants[i] = acc / ln_base
-
-    return GeometricSystem(
-        coeff=np.array(coeff, dtype=float),
-        constants=np.array(constants, dtype=float),
-        log_base=float(log_base),
-    )
+    defined = matrix.mask[:k]
+    coeff = np.where(defined[:, :k], -1.0, 0.0)
+    np.fill_diagonal(coeff, defined.sum(axis=1) - 1.0)
+    logs = np.log(matrix.array[:k])
+    logs[:, k:] += np.log(partition.known)
+    # The diagonal contributes log 1 = 0; missing cells contribute nothing.
+    constants = np.where(defined, logs, 0.0).sum(axis=1) / math.log(log_base)
+    return GeometricSystem(coeff=coeff, constants=constants, log_base=float(log_base))
 
 
 def solve_geometric(
@@ -84,13 +72,17 @@ def solve_geometric(
 ) -> Ranking:
     """Compute the full ranking; known priorities are preserved verbatim.
 
-    The computed priorities are exponentials of finite reals, hence always
-    strictly positive; the only solver failure mode is a singular system,
-    which the connectivity guard rules out in practice (the coefficient
-    matrix is diagonally dominant on connected instances).
+    The computed priorities are exponentials of finite reals, hence
+    strictly positive unless they leave the float range, which raises
+    :class:`~pcrank.errors.SingularMatrixError`.  A singular system is the
+    other solver failure, and the connectivity guard rules it out in
+    practice (the coefficient matrix is diagonally dominant on connected
+    instances).
     """
     system = build_geometric_system(matrix, partition, log_base, tol)
     exponents = solve(LinearSystem(system.coeff, system.constants))
-    ln_base = math.log(system.log_base)
-    computed = tuple(math.exp(float(e) * ln_base) for e in exponents)
-    return Ranking(computed + partition.known, partition.k)
+    with np.errstate(over="ignore"):
+        computed = np.exp(exponents * math.log(system.log_base))
+    if not ((computed > 0.0) & (computed < math.inf)).all():
+        raise SingularMatrixError("computed priorities leave the float range")
+    return Ranking(tuple(computed.tolist()) + partition.known, partition.k)

@@ -1,18 +1,24 @@
-"""Dense linear solver for the small systems both ranking methods produce.
+"""Dense linear solver for the k-by-k systems both ranking methods produce.
 
-Plain Gaussian elimination with partial (row) pivoting.  The systems here
-are k-by-k with k in the tens at most, so simplicity and deterministic
-singularity detection beat anything blocked or iterative.
+LAPACK's LU with partial pivoting (``np.linalg.solve``) does the work.  The
+ranking contract needs more than "LAPACK did not fail": a system whose
+matrix is singular in exact arithmetic often comes back from floating point
+with a tiny pivot and a huge, meaningless solution.  So the 1-norm condition
+number is checked too, and anything above :data:`MAX_CONDITION` is reported
+as singular instead of returning garbage.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularMatrixError, StructureError
+
+#: Largest 1-norm condition number accepted; beyond it the solution carries
+#: no correct digits worth ranking by (float64 keeps about 16).
+MAX_CONDITION = 1e12
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,40 +49,21 @@ class LinearSystem:
         return self.matrix.shape[0]
 
 
-def solve(system: LinearSystem, pivot_tol: float | None = None) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` by Gaussian elimination with partial pivoting.
+def solve(system: LinearSystem) -> np.ndarray:
+    """Solve ``matrix @ x = rhs`` with LAPACK.
 
-    Raises :class:`SingularMatrixError` as soon as the best available pivot
-    falls to ``pivot_tol`` or below; the default threshold is
-    ``1e-12 * ||matrix||_inf``, which flags unsolvable or underdetermined
-    ranking instances instead of returning garbage.  Deterministic: identical
-    input yields identical output.
+    Raises :class:`SingularMatrixError` when the matrix is exactly singular,
+    when its 1-norm condition number exceeds :data:`MAX_CONDITION`, or when
+    the solution is not finite.  Deterministic: identical input yields
+    identical output.
     """
-    a = system.matrix.copy()
-    b = system.rhs.copy()
-    n = system.size
-    if pivot_tol is None:
-        norm = float(np.abs(a).sum(axis=1).max()) if n else 0.0
-        pivot_tol = 1e-12 * norm
-
-    for col in range(n):
-        p = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[p, col]) <= pivot_tol:
-            raise SingularMatrixError(
-                f"pivot {a[p, col]:.3e} in column {col} is below threshold {pivot_tol:.3e}"
-            )
-        if p != col:
-            a[[col, p]] = a[[p, col]]
-            b[[col, p]] = b[[p, col]]
-        for r in range(col + 1, n):
-            factor = a[r, col] / a[col, col]
-            if factor != 0.0:
-                a[r, col:] -= factor * a[col, col:]
-                b[r] -= factor * b[col]
-
-    x = np.empty(n, dtype=float)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    if not math.isfinite(float(x.sum())):
+    # cond() reports an exactly singular matrix as inf.
+    condition = float(np.linalg.cond(system.matrix, 1))
+    if not condition <= MAX_CONDITION:
+        raise SingularMatrixError(
+            f"1-norm condition number {condition:.3e} exceeds {MAX_CONDITION:.0e}"
+        )
+    x = np.linalg.solve(system.matrix, system.rhs)
+    if not np.isfinite(x).all():
         raise SingularMatrixError("solution overflowed; system is effectively singular")
     return x

@@ -18,11 +18,13 @@ Indices are 0-based throughout; the CLI translates to labels for display.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
-from collections import deque
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     DegenerateRowError,
@@ -62,42 +64,48 @@ class PCMatrix:
     """Square grid of positive comparison values with explicit missing cells.
 
     ``entries[i][j]`` is the judged preference ratio of alternative ``i``
-    over ``j``, or :data:`MISSING`.  The diagonal is fixed at 1.
+    over ``j``, or :data:`MISSING`.  The diagonal is fixed at 1.  ``array``
+    holds the same grid as read-only ``float64`` with NaN in missing cells,
+    and ``mask`` is the read-only boolean defined-mask; both are built once,
+    on construction, and every matrix pass reads them.
     """
 
     entries: tuple[tuple[Entry, ...], ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
+    mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grid = self.entries
-        n = len(grid)
-        rows: list[tuple[Entry, ...]] = []
-        for i, raw in enumerate(grid):
-            cells = list(raw)
-            if len(cells) != n:
-                raise StructureError(f"row {i} has {len(cells)} cells, expected {n}")
-            norm: list[Entry] = []
-            for j, cell in enumerate(cells):
-                if cell is MISSING:
-                    if i == j:
-                        raise StructureError(f"diagonal entry ({i},{i}) cannot be missing")
-                    norm.append(MISSING)
-                    continue
-                value = float(cell)
-                if not math.isfinite(value) or value <= 0.0:
-                    raise StructureError(
-                        f"entry ({i},{j}) must be a positive finite number, got {cell!r}"
-                    )
-                if i == j and value != 1.0:
-                    raise StructureError(f"diagonal entry ({i},{i}) must be 1, got {cell!r}")
-                norm.append(value)
-            rows.append(tuple(norm))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (rows[i][j] is MISSING) != (rows[j][i] is MISSING):
-                    raise StructureError(
-                        f"asymmetric missingness: exactly one of ({i},{j}) and ({j},{i}) is missing"
-                    )
-        object.__setattr__(self, "entries", tuple(rows))
+        rows = [tuple(row) for row in self.entries]
+        n = len(rows)
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise StructureError(f"row {i} has {len(row)} cells, expected {n}")
+        cells = np.array(rows, dtype=object).reshape(n, n)
+        mask = np.not_equal(cells, MISSING)
+        a = cells.astype(float)
+        diag = np.eye(n, dtype=bool)
+        bad = (diag & (a != 1.0)) | (mask & ~(np.isfinite(a) & (a > 0.0)))
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), n)
+            cell = rows[i][j]
+            if cell is MISSING:
+                raise StructureError(f"diagonal entry ({i},{i}) cannot be missing")
+            if not (math.isfinite(a[i, j]) and a[i, j] > 0.0):
+                raise StructureError(
+                    f"entry ({i},{j}) must be a positive finite number, got {cell!r}"
+                )
+            raise StructureError(f"diagonal entry ({i},{i}) must be 1, got {cell!r}")
+        asymmetric = np.triu(mask != mask.T)
+        if asymmetric.any():
+            i, j = divmod(int(asymmetric.argmax()), n)
+            raise StructureError(
+                f"asymmetric missingness: exactly one of ({i},{j}) and ({j},{i}) is missing"
+            )
+        a.flags.writeable = False
+        mask.flags.writeable = False
+        object.__setattr__(self, "entries", tuple(map(tuple, np.where(mask, a, MISSING).tolist())))
+        object.__setattr__(self, "array", a)
+        object.__setattr__(self, "mask", mask)
 
     @property
     def n(self) -> int:
@@ -111,12 +119,11 @@ class PCMatrix:
 
     @property
     def is_complete(self) -> bool:
-        return all(cell is not MISSING for row in self.entries for cell in row)
+        return bool(self.mask.all())
 
     def missing_pairs(self) -> list[tuple[int, int]]:
         """Unordered missing pairs as (i, j) with i < j."""
-        n = self.n
-        return [(i, j) for i in range(n) for j in range(i + 1, n) if not self.defined(i, j)]
+        return [(i, j) for i, j in np.argwhere(np.triu(~self.mask)).tolist()]
 
 
 @dataclass(frozen=True)
@@ -128,8 +135,13 @@ class Partition:
     known: tuple[float, ...]
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
+        try:
+            k = operator.index(self.k)
+        except TypeError:
+            k = 0
+        if k < 1:
             raise StructureError(f"need at least one unknown alternative, got k={self.k}")
+        object.__setattr__(self, "k", k)
         values = tuple(float(v) for v in self.known)
         if not values:
             raise StructureError("need at least one known alternative")
@@ -202,57 +214,48 @@ class Diagnostics:
         )
 
 
+@np.errstate(over="ignore")  # overflow gives inf, as in Python floats
 def validate_reciprocity(matrix: PCMatrix, tol: float = DEFAULT_TOL) -> list[ReciprocityViolation]:
     """Report every defined pair whose product c_ij * c_ji strays from 1 by
     more than ``tol``.  An empty list means reciprocal within tolerance."""
-    out = []
-    n = matrix.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not matrix.defined(i, j):
-                continue
-            value = matrix.value(i, j)
-            mirror = matrix.value(j, i)
-            if abs(value * mirror - 1.0) > tol:
-                out.append(ReciprocityViolation(i, j, value, mirror))
-    return out
+    a = matrix.array
+    # Missing cells are NaN, and NaN never compares greater than tol.
+    bad = np.argwhere(np.triu(np.abs(a * a.T - 1.0) > tol, 1)).tolist()
+    return [ReciprocityViolation(i, j, float(a[i, j]), float(a[j, i])) for i, j in bad]
 
 
+@np.errstate(over="ignore")  # overflow gives inf, as in Python floats
 def check_consistency(matrix: PCMatrix, tol: float = DEFAULT_TOL) -> list[TriadDeviation]:
     """Report transitivity failures over fully defined triads.
 
     One canonical triad is examined per unordered triple i < j < k: the
     direct judgment c_ij is compared against the indirect product
     c_ik * c_kj.  For a reciprocal matrix this covers all orderings.
-    Triads touching a missing pair are skipped.
+    Triads touching a missing pair are skipped.  Each ``i`` scans its
+    (j, k) block at once, in the order of ``itertools.combinations``.
     """
+    a = matrix.array
     out = []
-    for i, j, k in combinations(range(matrix.n), 3):
-        if not (matrix.defined(i, j) and matrix.defined(i, k) and matrix.defined(k, j)):
-            continue
-        direct = matrix.value(i, j)
-        indirect = matrix.value(i, k) * matrix.value(k, j)
-        deviation = abs(direct - indirect) / direct
-        if deviation > tol:
-            out.append(TriadDeviation(i, j, k, deviation))
+    for i in range(matrix.n - 2):
+        row, rest = a[i, i + 1 :], a[i + 1 :, i + 1 :]
+        direct = row[:, None]
+        deviation = np.abs(direct - row[None, :] * rest.T) / direct
+        # A missing pair makes the deviation NaN, which never exceeds tol.
+        js, ks = np.nonzero(np.triu(deviation > tol, 1))
+        found = zip(repeat(i), (js + i + 1).tolist(), (ks + i + 1).tolist(), deviation[js, ks].tolist())
+        out += map(TriadDeviation._make, found)
     return out
 
 
 def count_defined_triads(matrix: PCMatrix) -> int:
     """Number of unordered triples whose three comparisons are all defined."""
-    return sum(
-        1
-        for i, j, k in combinations(range(matrix.n), 3)
-        if matrix.defined(i, j) and matrix.defined(i, k) and matrix.defined(k, j)
-    )
+    edges = (matrix.mask & ~np.eye(matrix.n, dtype=bool)).astype(np.int64)
+    return int(np.trace(edges @ edges @ edges)) // 6
 
 
 def undefined_counts(matrix: PCMatrix) -> tuple[int, ...]:
     """Per-row count of missing off-diagonal comparisons."""
-    return tuple(
-        sum(1 for j in range(matrix.n) if j != i and not matrix.defined(i, j))
-        for i in range(matrix.n)
-    )
+    return tuple((~matrix.mask).sum(axis=1).tolist())
 
 
 def check_connectivity(matrix: PCMatrix, partition: Partition) -> tuple[bool, list[int]]:
@@ -267,19 +270,12 @@ def check_connectivity(matrix: PCMatrix, partition: Partition) -> tuple[bool, li
     n = matrix.n
     if partition.n != n:
         raise StructureError(f"partition describes {partition.n} alternatives, matrix has {n}")
-    k = partition.k
-    adjacency = [
-        [j for j in range(n) if j != i and matrix.defined(i, j)] for i in range(n)
-    ]
-    seen = set(range(k, n))
-    queue = deque(seen)
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    isolated = [i for i in range(k) if i not in seen]
+    seen = np.arange(n) >= partition.k
+    frontier = seen
+    while frontier.any():
+        frontier = matrix.mask[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    isolated = np.flatnonzero(~seen).tolist()
     return not isolated, isolated
 
 
@@ -301,6 +297,7 @@ def diagnose(
     )
 
 
+@np.errstate(over="ignore")  # overflow gives inf, as in Python floats
 def ensure_solvable(matrix: PCMatrix, partition: Partition, tol: float = DEFAULT_TOL) -> None:
     """Guard pipeline run by both solvers, cheapest and most informative
     failures first: reciprocity, degenerate rows, connectivity.
@@ -324,14 +321,10 @@ def ensure_solvable(matrix: PCMatrix, partition: Partition, tol: float = DEFAULT
         raise NotConnectedError(isolated)
 
     k = partition.k
-    mismatched = 0
-    for i in range(k, n):
-        for j in range(k, n):
-            if i == j or not matrix.defined(i, j):
-                continue
-            implied = partition.known[i - k] / partition.known[j - k]
-            if abs(matrix.value(i, j) - implied) > tol * implied:
-                mismatched += 1
+    known = np.array(partition.known)
+    implied = known[:, None] / known[None, :]
+    # Missing cells are NaN and the diagonal matches exactly: neither counts.
+    mismatched = int((np.abs(matrix.array[k:, k:] - implied) > tol * implied).sum())
     if mismatched:
         warnings.warn(
             f"{mismatched} comparison(s) among known alternatives disagree with "
@@ -341,6 +334,7 @@ def ensure_solvable(matrix: PCMatrix, partition: Partition, tol: float = DEFAULT
         )
 
 
+@np.errstate(over="ignore")  # overflow gives inf, as in Python floats
 def fill_missing(matrix: PCMatrix, values: Sequence[float]) -> PCMatrix:
     """Complete the matrix by setting every missing c_ij to values[i]/values[j].
 
@@ -355,11 +349,5 @@ def fill_missing(matrix: PCMatrix, values: Sequence[float]) -> PCMatrix:
     for idx, v in enumerate(vals):
         if not math.isfinite(v) or v <= 0.0:
             raise StructureError(f"fill value #{idx} must be positive and finite, got {v!r}")
-    rows = [
-        tuple(
-            matrix.value(i, j) if matrix.defined(i, j) else vals[i] / vals[j]
-            for j in range(n)
-        )
-        for i in range(n)
-    ]
-    return PCMatrix(tuple(rows))
+    filled = np.where(matrix.mask, matrix.array, np.divide.outer(vals, vals))
+    return PCMatrix(filled.tolist())

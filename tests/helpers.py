@@ -4,11 +4,19 @@ Everything here is deliberately written from the definitions (ratio
 construction, breadth-first reachability, direct evaluation of the averaging
 and product identities) rather than through the library's own machinery, so
 tests cross-check the implementation instead of echoing it.
+
+The ``*_loops`` functions and :func:`eliminate` keep the cell-by-cell Python
+versions of the systems, the solver and the triad scan that the library now
+computes with array operations; tests require the two to agree.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import combinations
+
 import numpy as np
+from hypothesis import strategies as st
 
 from pcrank import MISSING, PCMatrix, Partition
 
@@ -128,3 +136,88 @@ def rows_to_matrix(rows: Rows) -> PCMatrix:
 
 def rng_for(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+@st.composite
+def instances(draw, max_n: int = 9, consistent: bool = False):
+    """Hypothesis strategy for :func:`random_instance`: (matrix, partition, v)."""
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    k = draw(st.integers(min_value=1, max_value=n - 1))
+    rng = rng_for(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return random_instance(rng, n=n, k=k, consistent=consistent, max_density=0.5)
+
+
+def arithmetic_system_loops(matrix: PCMatrix, partition: Partition):
+    """Reference arithmetic system (coeff, constants), one cell at a time."""
+    n, k = matrix.n, partition.k
+    coeff = np.zeros((k, k))
+    constants = np.zeros(k)
+    for i in range(k):
+        denom = float(sum(1 for j in range(n) if j != i and matrix.defined(i, j)))
+        coeff[i, i] = 1.0
+        for j in range(k):
+            if j != i and matrix.defined(i, j):
+                coeff[i, j] = -(matrix.value(i, j) / denom)
+        acc = 0.0
+        for j in range(k, n):
+            if matrix.defined(i, j):
+                acc += matrix.value(i, j) * partition.known[j - k]
+        constants[i] = acc / denom
+    return coeff, constants
+
+
+def geometric_system_loops(matrix: PCMatrix, partition: Partition, log_base: float = math.e):
+    """Reference geometric system (coeff, constants), one cell at a time,
+    taking ``log(c_ij * w_j)`` toward the knowns."""
+    n, k = matrix.n, partition.k
+    coeff = np.zeros((k, k))
+    constants = np.zeros(k)
+    for i in range(k):
+        acc = 0.0
+        for j in range(n):
+            if j == i or not matrix.defined(i, j):
+                continue
+            coeff[i, i] += 1.0
+            if j < k:
+                coeff[i, j] = -1.0
+                acc += math.log(matrix.value(i, j))
+            else:
+                acc += math.log(matrix.value(i, j) * partition.known[j - k])
+        constants[i] = acc / math.log(log_base)
+    return coeff, constants
+
+
+def eliminate(matrix, rhs) -> np.ndarray:
+    """Reference solver: Gaussian elimination with partial pivoting, one row
+    operation at a time, then back substitution."""
+    a = np.array(matrix, dtype=float)
+    b = np.array(rhs, dtype=float)
+    n = len(b)
+    for col in range(n):
+        p = col + int(np.argmax(np.abs(a[col:, col])))
+        if p != col:
+            a[[col, p]] = a[[p, col]]
+            b[[col, p]] = b[[p, col]]
+        for r in range(col + 1, n):
+            factor = a[r, col] / a[col, col]
+            if factor != 0.0:
+                a[r, col:] -= factor * a[col, col:]
+                b[r] -= factor * b[col]
+    x = np.empty(n)
+    for row in range(n - 1, -1, -1):
+        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
+    return x
+
+
+def triad_deviations_loops(matrix: PCMatrix, tol: float):
+    """Reference triad scan: (i, j, k, deviation) for every fully defined
+    triple i < j < k whose |c_ij - c_ik * c_kj| / c_ij exceeds ``tol``."""
+    out = []
+    for i, j, k in combinations(range(matrix.n), 3):
+        if not (matrix.defined(i, j) and matrix.defined(i, k) and matrix.defined(k, j)):
+            continue
+        direct = matrix.value(i, j)
+        deviation = abs(direct - matrix.value(i, k) * matrix.value(k, j)) / direct
+        if deviation > tol:
+            out.append((i, j, k, deviation))
+    return out

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from pcrank import (
     MISSING,
@@ -18,6 +19,8 @@ from pcrank import (
 
 from helpers import (
     arithmetic_residual,
+    arithmetic_system_loops,
+    instances,
     random_instance,
     ratio_rows,
     rng_for,
@@ -109,6 +112,16 @@ class TestBuild:
                 )
                 assert system.constants[i] >= 0.0
                 assert (system.constants[i] == 0.0) == (not has_known_comparison)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(max_n=12))
+def test_system_matches_loop_reference_entry_for_entry(instance):
+    matrix, partition, _ = instance
+    system = build_arithmetic_system(matrix, partition)
+    coeff, constants = arithmetic_system_loops(matrix, partition)
+    assert np.array_equal(system.coeff, coeff)
+    assert np.array_equal(system.constants, constants)
 
 
 class TestSolve:

@@ -61,6 +61,18 @@ label,priority
 b,1
 """
 
+# c(a,b) * w(b) = 1e400 overflows a float, but the geometric mean of the
+# two products is exactly 1.
+HUGE_CSV = """label,a,b,d
+a,1,1e200,1e-200
+b,1e-200,1,?
+d,1e200,?,1
+
+label,priority
+b,1e200
+d,1e-200
+"""
+
 CYCLE_CSV = """label,a,b,c,d
 a,1,9,1/9,1
 b,1/9,1,9,1
@@ -201,6 +213,28 @@ class TestErrorPaths:
         path = write(tmp_path, "singular.csv", text)
         assert main(["rank", path, "--method", "arithmetic"]) == 3
         assert capsys.readouterr().err.startswith("SINGULAR_MATRIX")
+
+    def test_geometric_ranks_past_product_overflow(self, tmp_path, capsys):
+        path = write(tmp_path, "huge.csv", HUGE_CSV)
+        assert main(["rank", path, "--method", "geometric"]) == 0
+        captured = capsys.readouterr()
+        assert ranking_csv_to_dict(captured.out)["a"] == pytest.approx(1.0, rel=1e-12)
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("c,mirror", [("1e300", "1e-300"), ("1e-300", "1e300")])
+    def test_geometric_priority_out_of_float_range(self, tmp_path, capsys, c, mirror):
+        # w(a) = c * w(b) = c**2 is beyond the float range either way.
+        text = f"label,a,b\na,1,{c}\nb,{mirror},1\n\nlabel,priority\nb,{c}\n"
+        path = write(tmp_path, "range.csv", text)
+        assert main(["rank", path, "--method", "geometric"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("SINGULAR_MATRIX") and len(err.splitlines()) == 1
+
+    def test_arithmetic_overflow_is_a_solver_failure(self, tmp_path, capsys):
+        path = write(tmp_path, "huge.csv", HUGE_CSV)
+        assert main(["rank", path, "--method", "arithmetic"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("SINGULAR_MATRIX") and len(err.splitlines()) == 1
 
     def test_parse_error(self, tmp_path, capsys):
         path = write(tmp_path, "broken.csv", "label,a,b\na,1\n")

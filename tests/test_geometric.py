@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcrank import (
     MISSING,
@@ -15,7 +17,13 @@ from pcrank import (
     solve_geometric,
 )
 
-from helpers import geometric_residual, random_instance, rng_for
+from helpers import (
+    geometric_residual,
+    geometric_system_loops,
+    instances,
+    random_instance,
+    rng_for,
+)
 
 
 def incomplete_3x3():
@@ -72,6 +80,19 @@ class TestBuild:
     def test_rejects_bad_log_base(self, bad):
         with pytest.raises(ValueError):
             build_geometric_system(*incomplete_3x3(), log_base=bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(max_n=12), st.sampled_from([math.e, 2.0, 10.0]))
+def test_system_matches_loop_reference(instance, log_base):
+    # log c + log w rounds differently from log(c * w), and the row sums may
+    # be added in another order, so the constants get a relative tolerance.
+    matrix, partition, _ = instance
+    system = build_geometric_system(matrix, partition, log_base=log_base)
+    coeff, constants = geometric_system_loops(matrix, partition, log_base)
+    assert np.array_equal(system.coeff, coeff)
+    bound = 1e-12 * np.maximum(np.abs(constants), 1.0)
+    assert np.all(np.abs(system.constants - constants) <= bound)
 
 
 class TestSolve:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pcrank import LinearSystem, SingularMatrixError, StructureError, solve_linear_system
 
-from helpers import rng_for
+from helpers import eliminate, rng_for
 
 
 def test_identity():
@@ -75,10 +76,17 @@ def test_pivot_tolerance_is_scale_aware():
     assert x == pytest.approx([1.0, 2.0], rel=1e-12)
 
 
-def test_explicit_pivot_tolerance_override():
-    m = np.array([[1.0, 0.0], [0.0, 1e-5]])
-    with pytest.raises(SingularMatrixError):
-        solve_linear_system(LinearSystem(m, np.array([1.0, 1.0])), pivot_tol=1e-4)
+def test_ill_conditioned_matrix_is_singular():
+    # Nonsingular in exact arithmetic, but its 1-norm condition number is 4e14.
+    m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
+    with pytest.raises(SingularMatrixError, match="condition number"):
+        solve_linear_system(LinearSystem(m, np.array([1.0, 2.0])))
+
+
+def test_overflowing_solution_is_singular():
+    m = 1e-300 * np.eye(2)
+    with pytest.raises(SingularMatrixError, match="overflow"):
+        solve_linear_system(LinearSystem(m, np.array([1e300, 1.0])))
 
 
 class TestValidation:
@@ -124,3 +132,22 @@ def test_round_trip_on_diagonally_dominant_systems(data):
     got = solve_linear_system(LinearSystem(m, m @ x))
     scale = max(1.0, float(np.abs(x).max()))
     assert np.abs(got - x).max() <= 1e-9 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.tuples(
+            arrays(float, (n, n), elements=st.floats(-1.0, 1.0)),
+            arrays(float, n, elements=st.floats(-4.0, 4.0)),
+        )
+    )
+)
+def test_matches_elimination_reference(data):
+    body, rhs = data
+    n = len(rhs)
+    m = body + 2.0 * n * np.eye(n)
+    reference = eliminate(m, rhs)
+    got = solve_linear_system(LinearSystem(m, rhs))
+    scale = max(1.0, float(np.abs(reference).max()))
+    assert np.abs(got - reference).max() <= 1e-10 * scale

@@ -1,6 +1,7 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,15 @@ from pcrank import (
     undefined_counts,
     validate_reciprocity,
 )
-from helpers import drop_pairs, ratio_rows, rng_for, rows_to_matrix, unknowns_reach_knowns
+from helpers import (
+    drop_pairs,
+    instances,
+    ratio_rows,
+    rng_for,
+    rows_to_matrix,
+    triad_deviations_loops,
+    unknowns_reach_knowns,
+)
 
 positive = st.floats(min_value=0.1, max_value=10.0, allow_nan=False, allow_infinity=False)
 vectors = st.lists(positive, min_size=2, max_size=7)
@@ -56,6 +65,16 @@ class TestConstruction:
     def test_ragged_rejected(self):
         with pytest.raises(StructureError):
             PCMatrix(((1, 2), (0.5, 1, 3)))
+
+    def test_array_and_mask_are_read_only_views(self):
+        m = PCMatrix(((1, 2, MISSING), (0.5, 1, 4), (MISSING, 0.25, 1)))
+        assert m.array.dtype == np.float64 and math.isnan(m.array[0, 2])
+        assert m.array[1, 2] == 4.0
+        assert m.mask.tolist() == [[True, True, False], [True, True, True], [False, True, True]]
+        with pytest.raises(ValueError):
+            m.array[0, 1] = 3.0
+        with pytest.raises(ValueError):
+            m.mask[0, 2] = True
 
     def test_missing_pairs_listed(self):
         m = PCMatrix(((1, 2, MISSING), (0.5, 1, 4), (MISSING, 0.25, 1)))
@@ -108,6 +127,13 @@ class TestConsistency:
         assert fully_defined == 2
         assert count_defined_triads(m) == fully_defined
         assert len(check_consistency(m, 1e-9)) == fully_defined
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(max_n=12), st.sampled_from([1e-9, 0.2, 0.6, 1.5]))
+def test_triad_scan_matches_loop_reference(instance, tol):
+    matrix, _, _ = instance
+    assert check_consistency(matrix, tol) == triad_deviations_loops(matrix, tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,6 +308,12 @@ class TestTypes:
             Partition(1, (0.0,))
         p = Partition(2, (3, 1))
         assert p.n == 4 and p.known == (3.0, 1.0)
+
+    def test_partition_accepts_numpy_integers(self):
+        p = Partition(np.int64(2), (1.0,))
+        assert p.k == 2 and type(p.k) is int and p.n == 3
+        with pytest.raises(StructureError):
+            Partition(2.0, (1.0,))
 
     def test_ranking_slices_and_normalization(self):
         r = Ranking((4.0, 2.0, 1.0), k=2)
