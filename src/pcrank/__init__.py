@@ -45,7 +45,6 @@ from .matrix import (
     TriadDeviation,
     check_connectivity,
     check_consistency,
-    count_defined_triads,
     diagnose,
     ensure_solvable,
     fill_missing,
@@ -84,7 +83,6 @@ __all__ = [
     "build_geometric_system",
     "check_connectivity",
     "check_consistency",
-    "count_defined_triads",
     "diagnose",
     "ensure_solvable",
     "evm",

@@ -8,8 +8,9 @@ the original file order, so callers never see the shuffle.
 
 Values may be written as decimals or as fractions ``p/q`` with positive
 integers, the conventional way ratio judgments are recorded.  Internally
-everything is a float.  Empty cells are an error rather than a missing
-value: silent emptiness hides data-entry mistakes, ``?`` states intent.
+the matrix is one ``float64`` grid with NaN for ``?``, from the parser to
+the serializer.  Empty cells are an error rather than a missing value:
+silent emptiness hides data-entry mistakes, ``?`` states intent.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .errors import ParseError, StructureError
 from .matrix import MISSING, Entry, PCMatrix, Partition
@@ -114,10 +117,7 @@ def format_value(value: float, style: str = "decimal") -> str:
 def _csv_rows(text: str) -> list[tuple[int, list[str]]]:
     normalized = text.replace("\r\n", "\n").replace("\r", "\n")
     reader = csv.reader(io.StringIO(normalized))
-    rows = []
-    for cells in reader:
-        rows.append((reader.line_num, [cell.strip() for cell in cells]))
-    return rows
+    return [(reader.line_num, list(map(str.strip, cells))) for cells in reader]
 
 
 def _split_blocks(rows: list[tuple[int, list[str]]]) -> list[list[tuple[int, list[str]]]]:
@@ -165,7 +165,7 @@ def parse_known(text: str) -> dict[str, float]:
     return _parse_known_block(blocks[0])
 
 
-def _parse_csv_problem(text: str) -> tuple[list[str], list[list[Entry]], dict[str, float]]:
+def _parse_csv_problem(text: str) -> tuple[list[str], np.ndarray, dict[str, float]]:
     blocks = _split_blocks(_csv_rows(text))
     if not blocks:
         raise ParseError("empty input")
@@ -182,7 +182,7 @@ def _parse_csv_problem(text: str) -> tuple[list[str], list[list[Entry]], dict[st
         raise ParseError(
             f"expected {n} matrix rows after the header, found {len(data)}", header_line
         )
-    rows: list[list[Entry]] = []
+    grid = np.empty((n, n))
     for i, (line, cells) in enumerate(data):
         if len(cells) != n + 1:
             raise ParseError(f"row needs {n + 1} cells, got {len(cells)}", line)
@@ -191,9 +191,18 @@ def _parse_csv_problem(text: str) -> tuple[list[str], list[list[Entry]], dict[st
                 f"row label {cells[0]!r} does not match header order (expected {labels[i]!r})",
                 line,
             )
-        rows.append([parse_value(token, line) for token in cells[1:]])
+        # float reads tokens without '/' as parse_value does; a row it cannot
+        # read exactly so goes through parse_value (None becomes NaN).
+        tokens = cells[1:]
+        try:
+            grid[i] = [math.nan if token == "?" else float(token) for token in tokens]
+            exact = np.isfinite(grid[i]).sum() == n - tokens.count("?")
+        except ValueError:
+            exact = False
+        if not exact:
+            grid[i] = [parse_value(token, line) for token in tokens]
     known = _parse_known_block(blocks[1]) if len(blocks) == 2 else {}
-    return labels, rows, known
+    return labels, grid, known
 
 
 def _json_cell(cell, where: str) -> Entry:
@@ -209,7 +218,7 @@ def _json_cell(cell, where: str) -> Entry:
     raise ParseError(f"{where}: expected a number, a fraction string, or \"?\", got {cell!r}")
 
 
-def _parse_json_problem(text: str) -> tuple[list[str], list[list[Entry]], dict[str, float]]:
+def _parse_json_problem(text: str) -> tuple[list[str], np.ndarray, dict[str, float]]:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -227,6 +236,7 @@ def _parse_json_problem(text: str) -> tuple[list[str], list[list[Entry]], dict[s
         if not isinstance(raw, list) or len(raw) != len(labels):
             raise ParseError(f"matrix row {i} must be an array of {len(labels)} entries")
         rows.append([_json_cell(cell, f"matrix[{i}][{j}]") for j, cell in enumerate(raw)])
+    grid = np.array(rows, dtype=float).reshape(len(labels), len(labels))  # None becomes NaN
     known_obj = obj.get("known", {})
     if not isinstance(known_obj, dict):
         raise ParseError("'known' must be an object mapping labels to priorities")
@@ -236,24 +246,19 @@ def _parse_json_problem(text: str) -> tuple[list[str], list[list[Entry]], dict[s
         if value is MISSING or value <= 0.0:
             raise StructureError(f"known priority for {label!r} must be positive, got {raw!r}")
         known[label] = value
-    return list(labels), rows, known
+    return list(labels), grid, known
 
 
-def _force_reciprocal(rows: list[list[Entry]]) -> None:
-    # Upper triangle is the source of truth; the lower is overwritten.
-    n = len(rows)
-    for i in range(n):
-        for j in range(i + 1, n):
-            upper = rows[i][j]
-            if upper is MISSING:
-                rows[j][i] = MISSING
-            elif isinstance(upper, float) and upper > 0.0:
-                rows[j][i] = 1.0 / upper
+@np.errstate(over="ignore", divide="ignore")  # only positive and NaN cells are inverted
+def _force_reciprocal(grid: np.ndarray) -> None:
+    # Upper triangle is the source of truth: a missing or positive upper cell
+    # sets the lower one (NaN inverts to NaN); any other is left for validation.
+    i, j = np.triu_indices(len(grid), 1)
+    upper = grid[i, j]
+    grid[j, i] = np.where(np.isnan(upper) | (upper > 0.0), 1.0 / upper, grid[j, i])
 
 
-def _canonicalize(
-    labels: list[str], rows: list[list[Entry]], known: dict[str, float]
-) -> Problem:
+def _canonicalize(labels: list[str], grid: np.ndarray, known: dict[str, float]) -> Problem:
     for label in labels:
         if not label:
             raise StructureError("alternative labels must be nonempty")
@@ -267,13 +272,11 @@ def _canonicalize(
     known_labels = [l for l in labels if l in known]
     order = unknown_labels + known_labels
     index = {label: idx for idx, label in enumerate(labels)}
-    permuted = tuple(
-        tuple(rows[index[a]][index[b]] for b in order) for a in order
-    )
+    perm = [index[label] for label in order]
     return Problem(
         labels=tuple(order),
         original_labels=tuple(labels),
-        matrix=PCMatrix(permuted),
+        matrix=PCMatrix(grid[np.ix_(perm, perm)]),
         known=tuple((label, known[label]) for label in known_labels),
     )
 
@@ -294,9 +297,9 @@ def parse_problem(
     report on defective data).
     """
     if fmt == "csv":
-        labels, rows, known = _parse_csv_problem(text)
+        labels, grid, known = _parse_csv_problem(text)
     elif fmt == "json":
-        labels, rows, known = _parse_json_problem(text)
+        labels, grid, known = _parse_json_problem(text)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if known_text is not None:
@@ -307,8 +310,8 @@ def parse_problem(
             )
         known = known or separate
     if force_reciprocal:
-        _force_reciprocal(rows)
-    return _canonicalize(labels, rows, known)
+        _force_reciprocal(grid)
+    return _canonicalize(labels, grid, known)
 
 
 def serialize_ranking(
@@ -333,27 +336,33 @@ def serialize_ranking(
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as the csv writer renders it inside a row."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([text, ""])
+    return out.getvalue()[:-2]
+
+
 def serialize_problem(problem: Problem, fmt: str = "csv", number_style: str = "decimal") -> str:
     """Serialize a problem back to text, in the original label order."""
     labels = problem.original_labels
     position = {label: idx for idx, label in enumerate(problem.labels)}
+    order = [position[label] for label in labels]
+    grid = problem.matrix.array[np.ix_(order, order)].tolist()
     known = dict(problem.known)
-
-    def cell(a: str, b: str) -> Entry:
-        return problem.matrix.value(position[a], position[b])
 
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["label", *labels])
-        for a in labels:
-            writer.writerow(
-                [a]
-                + [
-                    "?" if cell(a, b) is MISSING else format_value(cell(a, b), number_style)
-                    for b in labels
-                ]
-            )
+        decimal = number_style == "decimal"
+        for label, row in zip(labels, grid):
+            # Numbers and '?' never need quoting; only the label may.
+            cells = [
+                "?" if math.isnan(v) else f"{v:.12g}" if decimal else format_value(v, number_style)
+                for v in row
+            ]
+            out.write(_csv_field(label) + "," + ",".join(cells) + "\n")
         if known:
             writer.writerow([])
             writer.writerow(["label", "priority"])
@@ -362,9 +371,8 @@ def serialize_problem(problem: Problem, fmt: str = "csv", number_style: str = "d
                     writer.writerow([label, format_value(known[label], number_style)])
         return out.getvalue()
     if fmt == "json":
-        def json_cell(a: str, b: str):
-            value = cell(a, b)
-            if value is MISSING:
+        def json_cell(value: float):
+            if math.isnan(value):
                 return "?"
             if number_style == "fraction":
                 return format_value(value, "fraction")
@@ -372,7 +380,7 @@ def serialize_problem(problem: Problem, fmt: str = "csv", number_style: str = "d
 
         obj = {
             "alternatives": list(labels),
-            "matrix": [[json_cell(a, b) for b in labels] for a in labels],
+            "matrix": [[json_cell(value) for value in row] for row in grid],
         }
         if known:
             obj["known"] = {

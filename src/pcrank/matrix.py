@@ -3,9 +3,10 @@
 A comparison matrix records how many times alternative ``i`` is preferred
 over alternative ``j``.  Pairs the experts never judged hold the sentinel
 :data:`MISSING` (plain ``None``); missingness is always symmetric, so a
-matrix either has both ``(i, j)`` and ``(j, i)`` or neither.  Zero and NaN
-are rejected outright: an absent judgment and a corrupt one are different
-problems.
+matrix either has both ``(i, j)`` and ``(j, i)`` or neither.  Zero is
+rejected outright, and so is NaN in nested rows: an absent judgment and a
+corrupt one are different problems.  In the array form NaN is the missing
+cell itself.
 
 The solvers split the alternatives into a leading block of ``k`` unknowns
 (priorities to be computed) and a trailing block of knowns (priorities fixed
@@ -20,7 +21,8 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
@@ -31,6 +33,7 @@ from .errors import (
     KnownComparisonWarning,
     NotConnectedError,
     ReciprocityError,
+    SingularMatrixError,
     StructureError,
 )
 
@@ -59,36 +62,37 @@ class TriadDeviation(NamedTuple):
     deviation: float  # |c_ij - c_ik * c_kj| / c_ij
 
 
-@dataclass(frozen=True)
 class PCMatrix:
     """Square grid of positive comparison values with explicit missing cells.
 
-    ``entries[i][j]`` is the judged preference ratio of alternative ``i``
-    over ``j``, or :data:`MISSING`.  The diagonal is fixed at 1.  ``array``
-    holds the same grid as read-only ``float64`` with NaN in missing cells,
-    and ``mask`` is the read-only boolean defined-mask; both are built once,
-    on construction, and every matrix pass reads them.
+    Built from nested rows with :data:`MISSING` in absent cells (NaN is
+    rejected), or from a 2-D ``float64`` array with NaN in them, which is
+    copied.  The diagonal is fixed at 1.  Every matrix pass reads ``array``
+    (read-only ``float64``, NaN where missing) and ``mask`` (read-only).
+    ``entries[i][j]``, the ratio of ``i`` over ``j`` or :data:`MISSING`, is
+    built on first use; equality, hashing and ``repr`` go by it.
     """
 
-    entries: tuple[tuple[Entry, ...], ...]
-    array: np.ndarray = field(init=False, repr=False, compare=False)
-    mask: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        rows = [tuple(row) for row in self.entries]
+    def __init__(self, entries):
+        array_form = isinstance(entries, np.ndarray)
+        if array_form and entries.ndim != 2:
+            raise StructureError(f"expected a 2-D array, got {entries.ndim} dimension(s)")
+        rows = np.array(entries, dtype=float) if array_form else [tuple(row) for row in entries]
         n = len(rows)
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise StructureError(f"row {i} has {len(row)} cells, expected {n}")
-        cells = np.array(rows, dtype=object).reshape(n, n)
-        mask = np.not_equal(cells, MISSING)
-        a = cells.astype(float)
+        if array_form:
+            a, mask = rows, ~np.isnan(rows)
+        else:
+            objects = np.array(rows, dtype=object).reshape(n, n)
+            a, mask = objects.astype(float), np.not_equal(objects, MISSING)
         diag = np.eye(n, dtype=bool)
         bad = (diag & (a != 1.0)) | (mask & ~(np.isfinite(a) & (a > 0.0)))
         if bad.any():
             i, j = divmod(int(bad.argmax()), n)
-            cell = rows[i][j]
-            if cell is MISSING:
+            cell = a[i, j].item() if array_form else rows[i][j]
+            if not mask[i, j]:
                 raise StructureError(f"diagonal entry ({i},{i}) cannot be missing")
             if not (math.isfinite(a[i, j]) and a[i, j] > 0.0):
                 raise StructureError(
@@ -103,19 +107,31 @@ class PCMatrix:
             )
         a.flags.writeable = False
         mask.flags.writeable = False
-        object.__setattr__(self, "entries", tuple(map(tuple, np.where(mask, a, MISSING).tolist())))
-        object.__setattr__(self, "array", a)
-        object.__setattr__(self, "mask", mask)
+        self.array = a
+        self.mask = mask
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Entry, ...], ...]:
+        return tuple(map(tuple, np.where(self.mask, self.array, MISSING).tolist()))
+
+    def __eq__(self, other):
+        return self.entries == other.entries if isinstance(other, PCMatrix) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"PCMatrix(entries={self.entries!r})"
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.array)
 
     def value(self, i: int, j: int) -> Entry:
         return self.entries[i][j]
 
     def defined(self, i: int, j: int) -> bool:
-        return self.entries[i][j] is not MISSING
+        return bool(self.mask[i, j])
 
     @property
     def is_complete(self) -> bool:
@@ -247,12 +263,6 @@ def check_consistency(matrix: PCMatrix, tol: float = DEFAULT_TOL) -> list[TriadD
     return out
 
 
-def count_defined_triads(matrix: PCMatrix) -> int:
-    """Number of unordered triples whose three comparisons are all defined."""
-    edges = (matrix.mask & ~np.eye(matrix.n, dtype=bool)).astype(np.int64)
-    return int(np.trace(edges @ edges @ edges)) // 6
-
-
 def undefined_counts(matrix: PCMatrix) -> tuple[int, ...]:
     """Per-row count of missing off-diagonal comparisons."""
     return tuple((~matrix.mask).sum(axis=1).tolist())
@@ -340,7 +350,8 @@ def fill_missing(matrix: PCMatrix, values: Sequence[float]) -> PCMatrix:
 
     With ``values`` taken from a solver ranking this realizes the rule that
     missing judgments agree perfectly with the final priorities; re-solving
-    the filled matrix reproduces the ranking.
+    the filled matrix reproduces the ranking.  A ratio that overflows raises
+    :class:`SingularMatrixError` (one that underflows to 0 has such a mirror).
     """
     n = matrix.n
     vals = [float(v) for v in values]
@@ -350,4 +361,6 @@ def fill_missing(matrix: PCMatrix, values: Sequence[float]) -> PCMatrix:
         if not math.isfinite(v) or v <= 0.0:
             raise StructureError(f"fill value #{idx} must be positive and finite, got {v!r}")
     filled = np.where(matrix.mask, matrix.array, np.divide.outer(vals, vals))
-    return PCMatrix(filled.tolist())
+    if not np.isfinite(filled).all():
+        raise SingularMatrixError("a fill ratio values[i]/values[j] leaves the float range")
+    return PCMatrix(filled)

@@ -5,20 +5,24 @@ construction, breadth-first reachability, direct evaluation of the averaging
 and product identities) rather than through the library's own machinery, so
 tests cross-check the implementation instead of echoing it.
 
-The ``*_loops`` functions and :func:`eliminate` keep the cell-by-cell Python
-versions of the systems, the solver and the triad scan that the library now
-computes with array operations; tests require the two to agree.
+The ``*_loops`` functions, :func:`eliminate`, :func:`parse_problem_cells`
+and :func:`serialize_problem_cells` keep the cell-by-cell Python versions of
+the systems, the solver, the triad scan, parsing and serializing that the
+library now computes with array operations; tests require the two to agree.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from itertools import combinations
 
 import numpy as np
 from hypothesis import strategies as st
 
-from pcrank import MISSING, PCMatrix, Partition
+from pcrank import MISSING, PCMatrix, Partition, Problem, format_value, formats
 
 Rows = list[list[float | None]]
 
@@ -221,3 +225,135 @@ def triad_deviations_loops(matrix: PCMatrix, tol: float):
         if deviation > tol:
             out.append((i, j, k, deviation))
     return out
+
+
+def parse_problem_cells(text: str, fmt: str = "csv", force_reciprocal: bool = False) -> Problem:
+    """Reference parse of a valid problem: every cell through ``parse_value``
+    (or ``_json_cell``), the reciprocal rebuilt pair by pair, and the
+    canonical permutation taken as tuples of cells."""
+    if fmt == "csv":
+        blocks = formats._split_blocks(formats._csv_rows(text))
+        labels = blocks[0][0][1][1:]
+        rows = [
+            [formats.parse_value(token, line) for token in cells[1:]]
+            for line, cells in blocks[0][1:]
+        ]
+        known = formats._parse_known_block(blocks[1]) if len(blocks) == 2 else {}
+    else:
+        obj = json.loads(text)
+        labels = obj["alternatives"]
+        rows = [[formats._json_cell(cell, "") for cell in row] for row in obj["matrix"]]
+        known = {label: formats._json_cell(raw, "") for label, raw in obj.get("known", {}).items()}
+    if force_reciprocal:
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                upper = rows[i][j]
+                if upper is MISSING:
+                    rows[j][i] = MISSING
+                elif upper > 0.0:
+                    rows[j][i] = 1.0 / upper
+    order = [label for label in labels if label not in known]
+    order += [label for label in labels if label in known]
+    index = {label: idx for idx, label in enumerate(labels)}
+    return Problem(
+        labels=tuple(order),
+        original_labels=tuple(labels),
+        matrix=PCMatrix(tuple(tuple(rows[index[a]][index[b]] for b in order) for a in order)),
+        known=tuple((label, known[label]) for label in order if label in known),
+    )
+
+
+def serialize_problem_cells(problem: Problem, fmt: str = "csv", number_style: str = "decimal") -> str:
+    """Reference serializer: each cell looked up by label pair through
+    ``matrix.value`` and every CSV row written by the csv writer."""
+    labels = problem.original_labels
+    position = {label: idx for idx, label in enumerate(problem.labels)}
+    known = dict(problem.known)
+
+    def cell(a: str, b: str):
+        return problem.matrix.value(position[a], position[b])
+
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["label", *labels])
+        for a in labels:
+            writer.writerow(
+                [a]
+                + [
+                    "?" if cell(a, b) is MISSING else format_value(cell(a, b), number_style)
+                    for b in labels
+                ]
+            )
+        if known:
+            writer.writerow([])
+            writer.writerow(["label", "priority"])
+            for label in labels:
+                if label in known:
+                    writer.writerow([label, format_value(known[label], number_style)])
+        return out.getvalue()
+
+    def json_cell(a: str, b: str):
+        value = cell(a, b)
+        if value is MISSING:
+            return "?"
+        if number_style == "fraction":
+            return format_value(value, "fraction")
+        return float(f"{value:.12g}")
+
+    obj = {
+        "alternatives": list(labels),
+        "matrix": [[json_cell(a, b) for b in labels] for a in labels],
+    }
+    if known:
+        obj["known"] = {label: float(f"{known[label]:.12g}") for label in labels if label in known}
+    return json.dumps(obj, indent=2) + "\n"
+
+
+@st.composite
+def problem_texts(draw):
+    """Hypothesis strategy for problem files: (text, fmt, force_reciprocal).
+
+    Cells are decimals or ``p/q`` fractions, drawn independently for the two
+    triangles (so reciprocity is left to the validators), now and then a
+    nonpositive one.  ``?`` pairs are symmetric unless the lower triangle is
+    to be rebuilt, when its cells are drawn on their own.  Labels may need
+    CSV quoting; a random subset is known.
+    """
+    n = draw(st.integers(min_value=1, max_value=7))
+    label = st.text(alphabet='ab,"\' é\n', min_size=1, max_size=4).filter(lambda t: t == t.strip())
+    labels = draw(st.lists(label, min_size=n, max_size=n, unique=True))
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    force_reciprocal = draw(st.booleans())
+    decimal = st.builds(lambda v, p: f"{v:.{p}g}", st.floats(1e-4, 1e4), st.integers(1, 17))
+    fraction = st.tuples(st.integers(1, 40), st.integers(1, 40), st.sampled_from(["/", " / "]))
+    value = st.one_of(decimal, fraction.map(lambda t: f"{t[0]}{t[2]}{t[1]}"))
+    cell = st.one_of(value, st.just("?"))
+    if draw(st.integers(0, 9)) == 0:
+        cell = st.one_of(cell, st.sampled_from(["0", "-2"]))
+    grid = [["1"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            grid[i][j] = draw(cell)
+            if force_reciprocal:
+                grid[j][i] = draw(cell)
+            else:
+                grid[j][i] = "?" if grid[i][j] == "?" else draw(cell.filter(lambda t: t != "?"))
+    known = {lab: draw(value) for lab in labels if draw(st.booleans())}
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["label", *labels])
+        writer.writerows([lab, *row] for lab, row in zip(labels, grid))
+        if known:
+            writer.writerow([])
+            writer.writerows(known.items())
+        text = out.getvalue()
+    else:
+        def json_cell(token: str):
+            return token if "/" in token or token == "?" else float(token)
+
+        obj = {"alternatives": labels, "matrix": [[json_cell(t) for t in row] for row in grid]}
+        obj["known"] = {lab: json_cell(token) for lab, token in known.items()}
+        text = json.dumps(obj)
+    return text, fmt, force_reciprocal

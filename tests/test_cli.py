@@ -73,6 +73,17 @@ b,1e200
 d,1e-200
 """
 
+# The priorities span 1e200 to 1e-200, so the fill ratio w_a/w_c overflows.
+WIDE_CSV = """label,a,b,c
+a,1,1e200,?
+b,1e-200,1,1e200
+c,?,1e-200,1
+
+label,priority
+b,1
+c,1e-200
+"""
+
 CYCLE_CSV = """label,a,b,c,d
 a,1,9,1/9,1
 b,1/9,1,9,1
@@ -331,6 +342,15 @@ class TestComplete:
         assert parse_problem(out, "csv").matrix.entries == parse_problem(
             CONSISTENT_CSV, "csv"
         ).matrix.entries
+
+    @pytest.mark.parametrize("method", ["arithmetic", "geometric"])
+    def test_fill_ratio_overflow_is_a_solver_failure(self, tmp_path, capsys, method):
+        path = write(tmp_path, "wide.csv", WIDE_CSV)
+        assert main(["rank", path, "--method", method]) == 0
+        capsys.readouterr()
+        assert main(["complete", path, "--method", method]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("SINGULAR_MATRIX") and len(err.splitlines()) == 1
 
     def test_method_is_required(self, tmp_path, capsys):
         path = write(tmp_path, "micro.csv", MICRO_CSV)

@@ -1,13 +1,16 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from pcrank import (
     MISSING,
     ParseError,
     StructureError,
     format_value,
+    formats,
     parse_known,
     parse_problem,
     parse_value,
@@ -15,7 +18,13 @@ from pcrank import (
     serialize_ranking,
 )
 
-from helpers import ratio_rows, rng_for
+from helpers import (
+    parse_problem_cells,
+    problem_texts,
+    ratio_rows,
+    rng_for,
+    serialize_problem_cells,
+)
 
 CSV_3 = """label,a,b,c
 a,1,2,4
@@ -115,6 +124,12 @@ class TestParseProblem:
         repaired = parse_problem(asym, "json", force_reciprocal=True)
         assert repaired.matrix.value(1, 0) == pytest.approx(1 / 3)
 
+    def test_force_reciprocal_keeps_lower_cell_of_nonpositive_upper(self):
+        # Canonical order is (b, a), so the kept lower cell comes first.
+        text = "label,a,b\na,1,-2\nb,3,1\n\nlabel,priority\na,1\n"
+        with pytest.raises(StructureError, match=r"entry \(1,0\) .* got -2\.0$"):
+            parse_problem(text, "csv", force_reciprocal=True)
+
     def test_separate_known_file(self):
         text = "label,a,b\na,1,4\nb,1/4,1\n"
         problem = parse_problem(text, "csv", known_text="label,priority\nb,2\n")
@@ -138,6 +153,63 @@ class TestParseProblem:
         all_known = no_known + "\nlabel,priority\na,1\nb,2\n"
         with pytest.raises(StructureError, match="nothing to compute"):
             parse_problem(all_known, "csv").partition
+
+
+CSV_TOKENS = [
+    "1_0", " 2 ", "+3", "1e-3", "\u0661\u0662", "inf", "-inf", "nan",
+    "1e400", "0", "-1", "3/4", "3 / 4", "", "abc",
+]
+
+
+@pytest.mark.parametrize("token", CSV_TOKENS)
+def test_csv_cell_reads_as_parse_value(token):
+    # The token sits on line 3, in a row that also holds a '?'.
+    text = f"label,a,b,c\na,1,?,1\nb,?,1,{token}\nc,1,1,1\n"
+    try:
+        expected = parse_value(token, 3)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            formats._parse_csv_problem(text)
+        assert (type(got.value), str(got.value), got.value.line) == (type(exc), str(exc), exc.line)
+    else:
+        _, grid, _ = formats._parse_csv_problem(text)
+        assert grid[1, 2] == expected and math.isnan(grid[1, 0])
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except (ParseError, StructureError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem_texts())
+def test_parse_matches_cell_reference(case):
+    text, fmt, force_reciprocal = case
+    problem = _outcome(parse_problem, text, fmt, None, force_reciprocal)
+    reference = _outcome(parse_problem_cells, text, fmt, force_reciprocal)
+    if isinstance(reference, tuple):
+        assert problem == reference
+        return
+    assert problem.labels == reference.labels
+    assert problem.original_labels == reference.original_labels
+    assert problem.known == reference.known
+    assert np.array_equal(problem.matrix.mask, reference.matrix.mask)
+    assert np.array_equal(problem.matrix.array, reference.matrix.array, equal_nan=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem_texts())
+def test_serialize_matches_cell_reference(case):
+    text, fmt, force_reciprocal = case
+    problem = _outcome(parse_problem, text, fmt, None, force_reciprocal)
+    assume(not isinstance(problem, tuple))
+    for out_fmt in ("csv", "json"):
+        for style in ("decimal", "fraction"):
+            assert serialize_problem(problem, out_fmt, style) == serialize_problem_cells(
+                problem, out_fmt, style
+            )
 
 
 class TestParseErrors:

@@ -15,10 +15,10 @@ from pcrank import (
     Partition,
     Ranking,
     ReciprocityError,
+    SingularMatrixError,
     StructureError,
     check_connectivity,
     check_consistency,
-    count_defined_triads,
     diagnose,
     ensure_solvable,
     fill_missing,
@@ -76,6 +76,43 @@ class TestConstruction:
         with pytest.raises(ValueError):
             m.mask[0, 2] = True
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1.0, 0.0], [1.0, 1.0]],
+            [[1.0, -1.0], [1.0, 1.0]],
+            [[1.0, 2.0], [math.inf, 1.0]],
+            [[1.0, 2.0], [0.5, MISSING]],
+            [[2.0, 2.0], [0.5, 1.0]],
+            [[1.0, 3.0], [MISSING, 1.0]],
+            [[1.0, 2.0, 3.0], [0.5, 1.0, 1.0]],
+        ],
+        ids=["zero", "negative", "inf", "missing-diagonal", "non-unit-diagonal", "asymmetric", "non-square"],
+    )
+    def test_array_form_rejects_with_nested_message(self, rows):
+        with pytest.raises(StructureError) as nested:
+            PCMatrix(rows)
+        with pytest.raises(StructureError) as array:
+            PCMatrix(np.array(rows, dtype=float))  # MISSING becomes NaN
+        assert str(array.value) == str(nested.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances())
+    def test_array_form_equals_nested_form(self, instance):
+        m, _, _ = instance
+        again = PCMatrix(m.array)
+        assert again == m and PCMatrix(m.entries) == m
+        assert hash(again) == hash(m) and repr(again) == repr(m)
+        assert again.entries == m.entries
+        assert np.array_equal(again.mask, m.mask)
+
+    def test_array_form_copies_its_input(self):
+        grid = np.array([[1.0, 2.0, np.nan], [0.5, 1.0, 4.0], [np.nan, 0.25, 1.0]])
+        m = PCMatrix(grid)
+        grid[0, 1], grid[0, 2] = 7.0, 3.0
+        assert m.value(0, 1) == 2.0 and not m.defined(0, 2)
+        assert m == PCMatrix(((1, 2, MISSING), (0.5, 1, 4), (MISSING, 0.25, 1)))
+
     def test_missing_pairs_listed(self):
         m = PCMatrix(((1, 2, MISSING), (0.5, 1, 4), (MISSING, 0.25, 1)))
         assert m.missing_pairs() == [(0, 2)]
@@ -125,7 +162,6 @@ class TestConsistency:
             if all(m.defined(x, y) for x, y in [(a, b), (a, c), (b, c)])
         )
         assert fully_defined == 2
-        assert count_defined_triads(m) == fully_defined
         assert len(check_consistency(m, 1e-9)) == fully_defined
 
 
@@ -289,6 +325,11 @@ class TestFillMissing:
     def test_complete_matrix_unchanged(self):
         m = rows_to_matrix(ratio_rows([3.0, 2.0, 1.0]))
         assert fill_missing(m, (9.0, 5.0, 1.0)).entries == m.entries
+
+    def test_ratio_out_of_float_range_is_singular(self):
+        m = PCMatrix(((1, MISSING), (MISSING, 1)))
+        with pytest.raises(SingularMatrixError):
+            fill_missing(m, (1e200, 1e-200))
 
     def test_rejects_bad_values(self):
         m = PCMatrix(((1, MISSING), (MISSING, 1)))
