@@ -32,8 +32,6 @@ from .formats import (
     serialize_ranking,
 )
 from .geometric import GeometricSystem, build_geometric_system, solve_geometric
-from .linsolve import LinearSystem
-from .linsolve import solve as solve_linear_system
 from .matrix import (
     DEFAULT_TOL,
     MISSING,
@@ -63,7 +61,6 @@ __all__ = [
     "GeometricSystem",
     "IncompleteMatrixError",
     "KnownComparisonWarning",
-    "LinearSystem",
     "MISSING",
     "NoConvergenceError",
     "NonPositiveSolutionError",
@@ -96,7 +93,6 @@ __all__ = [
     "serialize_ranking",
     "solve_arithmetic",
     "solve_geometric",
-    "solve_linear_system",
     "undefined_counts",
     "validate_reciprocity",
 ]

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveSolutionError, SingularMatrixError
-from .linsolve import LinearSystem, solve
+from .errors import NonPositiveSolutionError
+from .linsolve import solve
 from .matrix import DEFAULT_TOL, PCMatrix, Partition, Ranking, ensure_solvable
 
 
@@ -41,7 +41,7 @@ class ArithmeticSystem:
     row_denominators: tuple[int, ...]
 
 
-@np.errstate(over="ignore")  # overflow gives inf, caught by solve_arithmetic
+@np.errstate(over="ignore")  # overflow gives inf, which solve rejects
 def build_arithmetic_system(
     matrix: PCMatrix, partition: Partition, tol: float = DEFAULT_TOL
 ) -> ArithmeticSystem:
@@ -69,9 +69,7 @@ def solve_arithmetic(matrix: PCMatrix, partition: Partition, tol: float = DEFAUL
     any computed priority is not strictly positive.
     """
     system = build_arithmetic_system(matrix, partition, tol)
-    if not np.isfinite(system.constants).all():
-        raise SingularMatrixError("constant terms overflowed; the system cannot be solved")
-    x = solve(LinearSystem(system.coeff, system.constants))
+    x = solve(system.coeff, system.constants)
     if np.any(x <= 0.0):
         raise NonPositiveSolutionError(x)
     return Ranking(tuple(float(v) for v in x) + partition.known, partition.k)

@@ -10,25 +10,25 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import warnings
 from pathlib import Path
 
 from .arithmetic import solve_arithmetic
 from .baselines import evm, gmm
-from .errors import PcrankError
-from .formats import Problem, parse_problem, serialize_problem, serialize_ranking
+from .errors import ParseError, PcrankError
+from .formats import Problem, parse_problem, serialize_problem, serialize_ranking, serialize_table
 from .geometric import solve_geometric
-from .matrix import DEFAULT_TOL, Partition, diagnose, fill_missing
+from .matrix import DEFAULT_TOL, diagnose, fill_missing
 
 _SOLVERS = {"arithmetic": solve_arithmetic, "geometric": solve_geometric}
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _emit(args, text: str) -> None:
@@ -54,8 +54,14 @@ def _load(args) -> Problem:
     )
 
 
-def _solve_methods(problem: Problem, partition: Partition, methods, tol: float):
+def _solve_methods(problem: Problem, methods, tol: float):
+    partition = problem.partition
     return {name: _SOLVERS[name](problem.matrix, partition, tol=tol) for name in methods}
+
+
+def _in_file_order(problem: Problem, columns: dict) -> dict:
+    order = problem.file_order
+    return {name: [values[i] for i in order] for name, values in columns.items()}
 
 
 def _max_relative_difference(a, b) -> float:
@@ -64,31 +70,17 @@ def _max_relative_difference(a, b) -> float:
 
 def cmd_rank(args) -> int:
     problem = _load(args)
-    partition = problem.partition
     methods = ["arithmetic", "geometric"] if args.method == "both" else [args.method]
-    rankings = _solve_methods(problem, partition, methods, args.tol)
+    rankings = _solve_methods(problem, methods, args.tol)
     if args.normalize:
         rankings = {name: r.normalized() for name, r in rankings.items()}
 
+    columns = _in_file_order(problem, {name: r.values for name, r in rankings.items()})
     fmt = _format_of(args)
     if len(methods) == 1:
-        pairs = problem.values_in_original_order(rankings[methods[0]].values)
-        _emit(args, serialize_ranking([p[0] for p in pairs], [p[1] for p in pairs], fmt))
-        return 0
-    columns = {
-        name: dict(problem.values_in_original_order(rankings[name].values)) for name in methods
-    }
-    if fmt == "json":
-        obj = {name: {label: float(f"{columns[name][label]:.12g}") for label in problem.original_labels}
-               for name in methods}
-        _emit(args, json.dumps(obj, indent=2) + "\n")
+        _emit(args, serialize_ranking(problem.original_labels, columns[args.method], fmt))
     else:
-        lines = ["label," + ",".join(methods)]
-        for label in problem.original_labels:
-            lines.append(
-                label + "," + ",".join(f"{columns[name][label]:.12g}" for name in methods)
-            )
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, serialize_table(problem.original_labels, columns, fmt))
     return 0
 
 
@@ -144,20 +136,16 @@ def cmd_complete(args) -> int:
 
 def cmd_compare(args) -> int:
     problem = _load(args)
-    partition = problem.partition
-    rankings = _solve_methods(problem, partition, ["arithmetic", "geometric"], args.tol)
+    rankings = _solve_methods(problem, ["arithmetic", "geometric"], args.tol)
     columns = {name: rankings[name].normalized().values for name in rankings}
     if problem.matrix.is_complete:
         columns["evm"] = evm(problem.matrix).weights
         columns["gmm"] = gmm(problem.matrix).weights
 
-    position = {label: idx for idx, label in enumerate(problem.labels)}
+    columns = _in_file_order(problem, columns)
     names = list(columns)
     lines = ["# priorities rescaled to sum 1 for comparability"]
-    lines.append("label," + ",".join(names))
-    for label in problem.original_labels:
-        idx = position[label]
-        lines.append(label + "," + ",".join(f"{columns[name][idx]:.12g}" for name in names))
+    lines.append(serialize_table(problem.original_labels, columns, "csv").rstrip("\n"))
     for a_idx in range(len(names)):
         for b_idx in range(a_idx + 1, len(names)):
             a, b = names[a_idx], names[b_idx]

@@ -69,12 +69,12 @@ class Problem:
             )
         return Partition(self.k, tuple(value for _, value in self.known))
 
-    def values_in_original_order(self, values: Sequence[float]) -> list[tuple[str, float]]:
-        """Pair a canonical-order value vector with labels, in file order."""
-        if len(values) != self.n:
-            raise StructureError(f"expected {self.n} values, got {len(values)}")
+    @property
+    def file_order(self) -> list[int]:
+        """The canonical index of each label, in file order: indexing a
+        canonical-order array with it restores the order of the file."""
         position = {label: idx for idx, label in enumerate(self.labels)}
-        return [(label, float(values[position[label]])) for label in self.original_labels]
+        return [position[label] for label in self.original_labels]
 
 
 def parse_value(token: str, line: int | None = None) -> Entry:
@@ -86,10 +86,13 @@ def parse_value(token: str, line: int | None = None) -> Entry:
         raise ParseError("empty cell (use '?' for a missing comparison)", line)
     match = _FRACTION.fullmatch(text)
     if match:
-        p, q = int(match.group(1)), int(match.group(2))
-        if p == 0 or q == 0:
-            raise ParseError(f"fraction {text!r} must have positive numerator and denominator", line)
-        return p / q
+        try:
+            p, q = int(match.group(1)), int(match.group(2))
+            if p and q:
+                return p / q
+        except (ValueError, OverflowError):  # past int()'s digit limit or the float range
+            raise ParseError(f"fraction {text!r} is out of range", line) from None
+        raise ParseError(f"fraction {text!r} must have positive numerator and denominator", line)
     try:
         value = float(text)
     except ValueError:
@@ -117,7 +120,10 @@ def format_value(value: float, style: str = "decimal") -> str:
 def _csv_rows(text: str) -> list[tuple[int, list[str]]]:
     normalized = text.replace("\r\n", "\n").replace("\r", "\n")
     reader = csv.reader(io.StringIO(normalized))
-    return [(reader.line_num, list(map(str.strip, cells))) for cells in reader]
+    try:
+        return [(reader.line_num, list(map(str.strip, cells))) for cells in reader]
+    except csv.Error as exc:  # e.g. a field beyond the csv module's size limit
+        raise ParseError(str(exc), reader.line_num) from None
 
 
 def _split_blocks(rows: list[tuple[int, list[str]]]) -> list[list[tuple[int, list[str]]]]:
@@ -220,9 +226,11 @@ def _json_cell(cell, where: str) -> Entry:
 
 def _parse_json_problem(text: str) -> tuple[list[str], np.ndarray, dict[str, float]]:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=float)  # a huge integer is inf, not an OverflowError
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
     labels = obj.get("alternatives")
@@ -336,6 +344,23 @@ def serialize_ranking(
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def serialize_table(
+    labels: Sequence[str], columns: dict[str, Sequence[float]], fmt: str = "csv"
+) -> str:
+    """Serialize named value columns side by side, 12 significant digits: a
+    ``label,<name>,...`` CSV table, or JSON ``{name: {label: value}}``."""
+    cells = {name: [f"{value:.12g}" for value in values] for name, values in columns.items()}
+    if fmt == "csv":
+        out = io.StringIO()
+        rows = [("label", *cells), *zip(labels, *cells.values())]
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return out.getvalue()
+    if fmt == "json":
+        obj = {name: dict(zip(labels, map(float, col))) for name, col in cells.items()}
+        return json.dumps(obj, indent=2) + "\n"
+    raise ValueError(f"unknown format {fmt!r}")
+
+
 def _csv_field(text: str) -> str:
     """``text`` as the csv writer renders it inside a row."""
     out = io.StringIO()
@@ -346,8 +371,7 @@ def _csv_field(text: str) -> str:
 def serialize_problem(problem: Problem, fmt: str = "csv", number_style: str = "decimal") -> str:
     """Serialize a problem back to text, in the original label order."""
     labels = problem.original_labels
-    position = {label: idx for idx, label in enumerate(problem.labels)}
-    order = [position[label] for label in labels]
+    order = problem.file_order
     grid = problem.matrix.array[np.ix_(order, order)].tolist()
     known = dict(problem.known)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrixError
-from .linsolve import LinearSystem, solve
+from .linsolve import solve
 from .matrix import DEFAULT_TOL, PCMatrix, Partition, Ranking, ensure_solvable
 
 
@@ -80,7 +80,7 @@ def solve_geometric(
     instances).
     """
     system = build_geometric_system(matrix, partition, log_base, tol)
-    exponents = solve(LinearSystem(system.coeff, system.constants))
+    exponents = solve(system.coeff, system.constants)
     with np.errstate(over="ignore"):
         computed = np.exp(exponents * math.log(system.log_base))
     if not ((computed > 0.0) & (computed < math.inf)).all():

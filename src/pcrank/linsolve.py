@@ -10,60 +10,33 @@ as singular instead of returning garbage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import SingularMatrixError, StructureError
+from .errors import SingularMatrixError
 
 #: Largest 1-norm condition number accepted; beyond it the solution carries
 #: no correct digits worth ranking by (float64 keeps about 16).
 MAX_CONDITION = 1e12
 
 
-@dataclass(frozen=True, eq=False)
-class LinearSystem:
-    """A square coefficient matrix and its right-hand side."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        b = np.array(self.rhs, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise StructureError(f"coefficient matrix must be square, got shape {m.shape}")
-        if b.ndim != 1 or b.shape[0] != m.shape[0]:
-            raise StructureError(
-                f"right-hand side length {b.shape} does not match matrix {m.shape}"
-            )
-        if not (np.isfinite(m).all() and np.isfinite(b).all()):
-            raise StructureError("system contains non-finite entries")
-        m.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "rhs", b)
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-
-def solve(system: LinearSystem) -> np.ndarray:
+def solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` with LAPACK.
 
-    Raises :class:`SingularMatrixError` when the matrix is exactly singular,
-    when its 1-norm condition number exceeds :data:`MAX_CONDITION`, or when
-    the solution is not finite.  Deterministic: identical input yields
+    Raises :class:`SingularMatrixError` when an entry of ``matrix`` or
+    ``rhs`` is not finite, when the matrix is exactly singular, when its
+    1-norm condition number exceeds :data:`MAX_CONDITION`, or when the
+    solution is not finite.  Deterministic: identical input yields
     identical output.
     """
+    if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
+        raise SingularMatrixError("system contains non-finite entries; it cannot be solved")
     # cond() reports an exactly singular matrix as inf.
-    condition = float(np.linalg.cond(system.matrix, 1))
+    condition = float(np.linalg.cond(matrix, 1))
     if not condition <= MAX_CONDITION:
         raise SingularMatrixError(
             f"1-norm condition number {condition:.3e} exceeds {MAX_CONDITION:.0e}"
         )
-    x = np.linalg.solve(system.matrix, system.rhs)
+    x = np.linalg.solve(matrix, rhs)
     if not np.isfinite(x).all():
         raise SingularMatrixError("solution overflowed; system is effectively singular")
     return x

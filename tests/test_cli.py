@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -92,6 +93,17 @@ d,1,1,1,1
 
 label,priority
 d,1
+"""
+
+
+# A label that needs CSV quoting; the parser reads it back as one field.
+QUOTED_CSV = """label,"a,plus",b,c
+"a,plus",1,2,4
+b,1/2,1,?
+c,1/4,?,1
+
+label,priority
+c,1
 """
 
 
@@ -267,6 +279,87 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
+
+
+class TestUnreadableInput:
+    """Input that cannot be read as text or as numbers fails as
+    ``PARSE_ERROR`` (exit 2), never as a traceback (exit 1, the code that
+    ``check`` uses for findings)."""
+
+    @staticmethod
+    def assert_parse_error(code, capsys) -> str:
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("PARSE_ERROR") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("where", ["cell", "known"])
+    def test_json_integer_beyond_float_range(self, tmp_path, capsys, where):
+        huge = "1" + "0" * 400
+        cell, known = (huge, "1") if where == "cell" else ("2", huge)
+        text = (
+            '{"alternatives": ["a", "b"], "matrix": [[1, %s], [0.5, 1]], "known": {"b": %s}}'
+            % (cell, known)
+        )
+        path = write(tmp_path, "huge.json", text)
+        self.assert_parse_error(main(["rank", path]), capsys)
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(MICRO_CSV.replace("a", "\u00e9").encode("latin-1"))
+        self.assert_parse_error(main(["rank", str(path)]), capsys)
+
+    def test_non_utf8_stdin(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"label,a\n\xff,1\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        self.assert_parse_error(main(["check", "-"]), capsys)
+
+    def test_csv_field_beyond_size_limit(self, tmp_path, capsys):
+        text = MICRO_CSV.replace("b,1/2,1,?", "b,1/2,1," + "9" * 131_073)
+        path = write(tmp_path, "wide_field.csv", text)
+        err = self.assert_parse_error(main(["rank", path]), capsys)
+        assert err.startswith("PARSE_ERROR: line 3:")
+
+
+class TestLabelQuoting:
+    """Every CSV table quotes a label the way the parser reads it back."""
+
+    @staticmethod
+    def rows(out: str) -> list[list[str]]:
+        return list(csv.reader(io.StringIO(out)))
+
+    def test_rank_both_csv(self, tmp_path, capsys):
+        path = write(tmp_path, "quoted.csv", QUOTED_CSV)
+        assert main(["rank", path, "--method", "both"]) == 0
+        rows = self.rows(capsys.readouterr().out)
+        assert rows[0] == ["label", "arithmetic", "geometric"]
+        assert [row[0] for row in rows[1:]] == ["a,plus", "b", "c"]
+        assert all(len(row) == len(rows[0]) for row in rows)
+
+    def test_compare(self, tmp_path, capsys):
+        path = write(tmp_path, "quoted.csv", QUOTED_CSV)
+        assert main(["compare", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = self.rows("\n".join(lines[1:5]))
+        assert rows[0] == ["label", "arithmetic", "geometric"]
+        assert [row[0] for row in rows[1:]] == ["a,plus", "b", "c"]
+        assert all(len(row) == len(rows[0]) for row in rows)
+
+    def test_rank_both_json_shape(self, tmp_path, capsys):
+        obj = {
+            "alternatives": ["a,plus", "b", "c"],
+            "matrix": [[1, 2, 4], [0.5, 1, "?"], [0.25, "?", 1]],
+            "known": {"c": 1},
+        }
+        path = write(tmp_path, "quoted.json", json.dumps(obj))
+        assert main(["rank", path, "--method", "both"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert list(obj) == ["arithmetic", "geometric"]
+        for column in obj.values():
+            assert list(column) == ["a,plus", "b", "c"]
+            assert column["a,plus"] == pytest.approx(4.0, rel=1e-11)
+            assert column["c"] == 1.0
 
 
 class TestCheck:

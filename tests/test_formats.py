@@ -257,6 +257,27 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_problem('{"alternatives": ["a"], "matrix": [[1]], "known": {"a": null}}', "json")
 
+    @pytest.mark.parametrize(
+        "text,fmt",
+        [
+            pytest.param("label,a\na,1" + "0" * 400 + "/1\n", "csv", id="fraction-overflow"),
+            pytest.param("label,a\na,1/" + "9" * 5000 + "\n", "csv", id="fraction-digits"),
+            pytest.param(
+                '{"alternatives": ["a"], "matrix": [[1' + "0" * 400 + "]]}", "json",
+                id="json-integer-overflow",
+            ),
+            pytest.param(
+                '{"alternatives": ["a"], "matrix": [[' + "9" * 5000 + "]]}", "json",
+                id="json-integer-digits",
+            ),
+            pytest.param("[" * 5000 + "]" * 5000, "json", id="json-nesting"),
+        ],
+    )
+    def test_out_of_range_input_is_a_parse_error(self, text, fmt):
+        # Each of these once escaped as OverflowError, ValueError or RecursionError.
+        with pytest.raises(ParseError):
+            parse_problem(text, fmt)
+
     def test_known_file_errors(self):
         with pytest.raises(ParseError, match="positive"):
             parse_known("a,-1\n")
@@ -368,5 +389,6 @@ class TestSerialize:
         )
         problem = parse_problem(text, "json")
         # canonical order is (x, z, y)
-        pairs = problem.values_in_original_order((4.0, 1.0, 2.0))
-        assert pairs == [("x", 4.0), ("y", 2.0), ("z", 1.0)]
+        assert problem.file_order == [0, 2, 1]
+        values = (4.0, 1.0, 2.0)
+        assert [values[i] for i in problem.file_order] == [4.0, 2.0, 1.0]
