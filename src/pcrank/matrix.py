@@ -23,7 +23,6 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -212,20 +211,42 @@ class Diagnostics:
     """Validation report produced by :func:`diagnose`.
 
     ``connectivity_ok`` is ``None`` when no partition was supplied (nothing
-    to check reachability against).
+    to check reachability against).  ``triad_columns`` holds the triad
+    deviations as four read-only arrays ``(i, j, k, deviation)``;
+    ``triad_deviations``, the same rows as tuples, is built on first use,
+    and equality and hashing go by it.
     """
 
     reciprocity_violations: tuple[ReciprocityViolation, ...]
     undefined_counts: tuple[int, ...]
     connectivity_ok: bool | None
     isolated_unknowns: tuple[int, ...]
-    triad_deviations: tuple[TriadDeviation, ...]
+    triad_columns: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+    @cached_property
+    def triad_deviations(self) -> tuple[TriadDeviation, ...]:
+        return tuple(_triad_rows(self.triad_columns))
+
+    def _key(self) -> tuple:
+        return (
+            self.reciprocity_violations,
+            self.undefined_counts,
+            self.connectivity_ok,
+            self.isolated_unknowns,
+            self.triad_deviations,
+        )
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Diagnostics) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def clean(self) -> bool:
         return (
             not self.reciprocity_violations
-            and not self.triad_deviations
+            and not len(self.triad_columns[3])
             and self.connectivity_ok is not False
         )
 
@@ -241,26 +262,40 @@ def validate_reciprocity(matrix: PCMatrix, tol: float = DEFAULT_TOL) -> list[Rec
 
 
 @np.errstate(over="ignore")  # overflow gives inf, as in Python floats
-def check_consistency(matrix: PCMatrix, tol: float = DEFAULT_TOL) -> list[TriadDeviation]:
-    """Report transitivity failures over fully defined triads.
-
-    One canonical triad is examined per unordered triple i < j < k: the
-    direct judgment c_ij is compared against the indirect product
-    c_ik * c_kj.  For a reciprocal matrix this covers all orderings.
-    Triads touching a missing pair are skipped.  Each ``i`` scans its
-    (j, k) block at once, in the order of ``itertools.combinations``.
+def _triad_columns(matrix: PCMatrix, tol: float):
+    """The triad scan behind :func:`check_consistency`, as read-only columns
+    ``(i, j, k, deviation)``: int arrays and a float array, in the order of
+    ``itertools.combinations``.  Each ``i`` scans its (j, k) block at once.
     """
     a = matrix.array
-    out = []
+    blocks = [(np.empty(0, dtype=np.intp),) * 3 + (np.empty(0),)]
     for i in range(matrix.n - 2):
         row, rest = a[i, i + 1 :], a[i + 1 :, i + 1 :]
         direct = row[:, None]
         deviation = np.abs(direct - row[None, :] * rest.T) / direct
         # A missing pair makes the deviation NaN, which never exceeds tol.
         js, ks = np.nonzero(np.triu(deviation > tol, 1))
-        found = zip(repeat(i), (js + i + 1).tolist(), (ks + i + 1).tolist(), deviation[js, ks].tolist())
-        out += map(TriadDeviation._make, found)
-    return out
+        blocks.append((np.full_like(js, i), js + i + 1, ks + i + 1, deviation[js, ks]))
+    columns = tuple(map(np.concatenate, zip(*blocks)))
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
+def _triad_rows(columns):
+    return map(TriadDeviation._make, zip(*(column.tolist() for column in columns)))
+
+
+def check_consistency(matrix: PCMatrix, tol: float = DEFAULT_TOL) -> list[TriadDeviation]:
+    """Report transitivity failures over fully defined triads.
+
+    One canonical triad is examined per unordered triple i < j < k: the
+    direct judgment c_ij is compared against the indirect product
+    c_ik * c_kj.  For a reciprocal matrix this covers all orderings.
+    Triads touching a missing pair are skipped.  Deviations come in the
+    order of ``itertools.combinations``.
+    """
+    return list(_triad_rows(_triad_columns(matrix, tol)))
 
 
 def undefined_counts(matrix: PCMatrix) -> tuple[int, ...]:
@@ -303,7 +338,7 @@ def diagnose(
         undefined_counts=undefined_counts(matrix),
         connectivity_ok=ok,
         isolated_unknowns=tuple(isolated),
-        triad_deviations=tuple(check_consistency(matrix, tol)),
+        triad_columns=_triad_columns(matrix, tol),
     )
 
 

@@ -22,7 +22,18 @@ from itertools import combinations
 import numpy as np
 from hypothesis import strategies as st
 
-from pcrank import MISSING, PCMatrix, Partition, Problem, format_value, formats
+from pcrank import (
+    MISSING,
+    PCMatrix,
+    Partition,
+    PcrankError,
+    Problem,
+    check_connectivity,
+    format_value,
+    formats,
+    undefined_counts,
+    validate_reciprocity,
+)
 
 Rows = list[list[float | None]]
 
@@ -227,6 +238,41 @@ def triad_deviations_loops(matrix: PCMatrix, tol: float):
     return out
 
 
+def check_report_rows(problem: Problem, tol: float) -> tuple[str, int]:
+    """Reference ``pcrank check`` report (stdout, exit code): one formatted
+    line per finding, with the triads from :func:`triad_deviations_loops`."""
+    matrix, labels = problem.matrix, problem.labels
+    lines = [
+        f"alternatives: {problem.n} ({problem.n - len(problem.known)} unknown, "
+        f"{len(problem.known)} known)"
+    ]
+    violations = validate_reciprocity(matrix, tol)
+    lines.append(f"reciprocity violations: {len(violations)}")
+    for i, j, value, mirror in violations:
+        lines.append(
+            f"  {labels[i]} vs {labels[j]}: {value:.12g} * {mirror:.12g} = {value * mirror:.12g}"
+        )
+    counts = ", ".join(f"{labels[i]}={c}" for i, c in enumerate(undefined_counts(matrix)))
+    lines.append(f"undefined comparisons per row: {counts}")
+    try:
+        ok, isolated = check_connectivity(matrix, problem.partition)
+    except PcrankError:
+        ok = None
+        lines.append("connectivity: skipped (no usable known/unknown split)")
+    else:
+        if ok:
+            lines.append("connectivity: ok")
+        else:
+            names = ", ".join(labels[i] for i in isolated)
+            lines.append(f"connectivity: FAILED (unknowns not reaching any known: {names})")
+    triads = triad_deviations_loops(matrix, tol)
+    lines.append(f"triad deviations above tol {tol:g}: {len(triads)}")
+    for i, j, k, deviation in triads:
+        lines.append(f"  ({labels[i]}, {labels[j]}, {labels[k]}): deviation {deviation:.6g}")
+    clean = not violations and not triads and ok is not False
+    return "\n".join(lines) + "\n", 0 if clean else 1
+
+
 def parse_problem_cells(text: str, fmt: str = "csv", force_reciprocal: bool = False) -> Problem:
     """Reference parse of a valid problem: every cell through ``parse_value``
     (or ``_json_cell``), the reciprocal rebuilt pair by pair, and the
@@ -311,17 +357,19 @@ def serialize_problem_cells(problem: Problem, fmt: str = "csv", number_style: st
 
 
 @st.composite
-def problem_texts(draw):
+def problem_texts(draw, max_label: int = 4):
     """Hypothesis strategy for problem files: (text, fmt, force_reciprocal).
 
     Cells are decimals or ``p/q`` fractions, drawn independently for the two
     triangles (so reciprocity is left to the validators), now and then a
     nonpositive one.  ``?`` pairs are symmetric unless the lower triangle is
     to be rebuilt, when its cells are drawn on their own.  Labels may need
-    CSV quoting; a random subset is known.
+    CSV quoting and have 1 to ``max_label`` characters; a random subset is
+    known.
     """
     n = draw(st.integers(min_value=1, max_value=7))
-    label = st.text(alphabet='ab,"\' é\n', min_size=1, max_size=4).filter(lambda t: t == t.strip())
+    label = st.text(alphabet='ab,"\' é\n', min_size=1, max_size=max_label)
+    label = label.filter(lambda t: t == t.strip())
     labels = draw(st.lists(label, min_size=n, max_size=n, unique=True))
     fmt = draw(st.sampled_from(["csv", "json"]))
     force_reciprocal = draw(st.booleans())

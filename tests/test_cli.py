@@ -3,9 +3,16 @@ import io
 import json
 import math
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import check_report_rows, problem_texts, triad_deviations_loops
+from pcrank import PcrankError, diagnose, parse_problem
 from pcrank.cli import main
 
 MICRO_CSV = """label,a,b,c
@@ -398,6 +405,84 @@ class TestCheck:
         path = write(tmp_path, "nok.csv", "label,a,b\na,1,4\nb,1/4,1\n")
         assert main(["check", path]) == 0
         assert "connectivity: skipped" in capsys.readouterr().out
+
+
+class TestTolerance:
+    """``--tol`` is a usage error (exit 2) unless it is a number >= 0."""
+
+    @pytest.mark.parametrize("command", ["check", "rank"])
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_nonsensical_tolerance_is_rejected(self, tmp_path, capsys, command, value):
+        path = write(tmp_path, "micro.csv", MICRO_CSV)
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, "--tol", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol" in captured.err
+
+    def test_infinite_tolerance_is_allowed(self, tmp_path, capsys):
+        text = "label,a,b,c\na,1,2,2\nb,1/2,1,1/2\nc,1/2,2,1\n\nlabel,priority\nc,1\n"
+        path = write(tmp_path, "triad.csv", text)
+        assert main(["check", path, "--tol", "inf"]) == 0
+        assert "triad deviations above tol inf: 0" in capsys.readouterr().out
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem_texts(max_label=12), st.sampled_from([0.0, 1e-9, 0.2, 1.5]))
+@example(("label,a\na,1\n", "csv", False), 1e-9)
+@example(("label,only one\nonly one,1\n\nlabel,priority\nonly one,2\n", "csv", False), 0.2)
+@example(("label,a,bbbbbbbbbb\na,1,2\nbbbbbbbbbb,1/2,1\n\nbbbbbbbbbb,1\n", "csv", False), 1.5)
+@example(('{"alternatives": ["a", "b"], "matrix": [[1, 3], [0.5, 1]]}', "json", False), 1e-9)
+@example(("label,a,b,c\na,1,2,4\nb,1/2,1,2\nc,1/4,1/2,1\n", "csv", False), 0.0)
+def test_check_matches_row_reference(problem_text, tol):
+    """``check`` prints what a report built one finding per line prints:
+    n = 1 and n = 2 (no triads at all) included, and an exactly consistent
+    triad at tolerance 0 is not a finding."""
+    text, fmt, force_reciprocal = problem_text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"input.{fmt}"
+        path.write_text(text, encoding="utf-8")
+        argv = ["check", str(path), "--tol", repr(tol)]
+        if force_reciprocal:
+            argv.append("--force-reciprocal")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    try:
+        problem = parse_problem(text, fmt=fmt, force_reciprocal=force_reciprocal)
+    except PcrankError:
+        assert (code, out.getvalue()) == (2, "")
+        return
+    assert (out.getvalue(), code) == check_report_rows(problem, tol)
+    report = diagnose(problem.matrix, tol=tol)
+    assert report.triad_deviations == tuple(triad_deviations_loops(problem.matrix, tol))
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is dropped from every input."""
+
+    @staticmethod
+    def rank(args, capsys) -> str:
+        assert main(["rank", *args, "--method", "geometric"]) == 0
+        return capsys.readouterr().out
+
+    def test_main_csv(self, tmp_path, capsys, monkeypatch):
+        plain = self.rank([write(tmp_path, "plain.csv", MICRO_CSV)], capsys)
+        assert self.rank([write(tmp_path, "bom.csv", "\ufeff" + MICRO_CSV)], capsys) == plain
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + MICRO_CSV))
+        assert self.rank(["-", "--format", "csv"], capsys) == plain
+
+    def test_known_csv_with_header(self, tmp_path, capsys):
+        main_path = write(tmp_path, "main.csv", MICRO_CSV.split("\n\n")[0] + "\n")
+        known = "label,priority\nc,1\n"
+        plain = self.rank([main_path, "--known", write(tmp_path, "k.csv", known)], capsys)
+        bom = write(tmp_path, "k_bom.csv", "\ufeff" + known)
+        assert self.rank([main_path, "--known", bom], capsys) == plain
+
+    def test_json(self, tmp_path, capsys):
+        plain = self.rank([write(tmp_path, "plain.json", MICRO_JSON)], capsys)
+        assert self.rank([write(tmp_path, "bom.json", "\ufeff" + MICRO_JSON)], capsys) == plain
 
 
 class TestComplete:

@@ -28,6 +28,8 @@ from pcrank import (
 from helpers import (
     drop_pairs,
     instances,
+    perturbed_rows,
+    random_instance,
     ratio_rows,
     rng_for,
     rows_to_matrix,
@@ -170,6 +172,14 @@ class TestConsistency:
 def test_triad_scan_matches_loop_reference(instance, tol):
     matrix, _, _ = instance
     assert check_consistency(matrix, tol) == triad_deviations_loops(matrix, tol)
+
+
+def test_triad_scan_matches_loop_reference_at_n40():
+    # Long per-i blocks, noisy judgments and missing pairs.
+    matrix, _, _ = random_instance(rng_for(40), n=40, k=36, max_density=0.3)
+    assert not matrix.is_complete
+    for tol in (1e-9, 0.2, 0.6):
+        assert check_consistency(matrix, tol) == triad_deviations_loops(matrix, tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -374,6 +384,15 @@ class TestTypes:
         assert report.connectivity_ok is True
         assert report.triad_deviations == ()
         assert report.clean
+
+    def test_diagnostics_compare_and_hash_by_value(self):
+        m = rows_to_matrix(perturbed_rows([1.0, 2.0, 3.0, 4.0, 5.0], rng_for(5)))
+        partition = Partition(4, (5.0,))
+        first, second = diagnose(m, partition), diagnose(m, partition)
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert first != diagnose(m, partition, tol=10.0)
+        assert len(first.triad_deviations) > 1
 
     def test_diagnose_without_partition_skips_connectivity(self):
         m = PCMatrix(((1, 2), (0.5, 1)))
