@@ -13,7 +13,9 @@ import dataclasses
 import math
 import sys
 import warnings
+from itertools import chain
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -48,11 +50,14 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, chunks: Iterable[str]) -> None:
+    """Write the output text, given as consecutive pieces, to ``--output`` or
+    stdout."""
     if args.output and args.output != "-":
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _format_of(args) -> str:
@@ -95,9 +100,9 @@ def cmd_rank(args) -> int:
     columns = _in_file_order(problem, {name: r.values for name, r in rankings.items()})
     fmt = _format_of(args)
     if len(methods) == 1:
-        _emit(args, serialize_ranking(problem.original_labels, columns[args.method], fmt))
+        _emit(args, [serialize_ranking(problem.original_labels, columns[args.method], fmt)])
     else:
-        _emit(args, serialize_table(problem.original_labels, columns, fmt))
+        _emit(args, [serialize_table(problem.original_labels, columns, fmt)])
     return 0
 
 
@@ -130,15 +135,28 @@ def cmd_check(args) -> int:
     else:
         isolated = ", ".join(problem.labels[i] for i in report.isolated_unknowns)
         lines.append(f"connectivity: FAILED (unknowns not reaching any known: {isolated})")
-    i, j, k, deviation = report.triad_columns
-    lines.append(f"triad deviations above tol {args.tol:g}: {len(deviation)}")
-    # One %-format over the flattened (label, label, label, deviation) rows
-    # is about a sixth faster than formatting a string per line.
-    names = np.array(problem.labels, dtype=object)
-    cells = np.stack([names[i], names[j], names[k], deviation.astype(object)], axis=1)
-    listing = ("  (%s, %s, %s): deviation %.6g\n" * len(deviation)) % tuple(cells.ravel().tolist())
-    _emit(args, "\n".join(lines) + "\n" + listing)
+    lines.append(f"triad deviations above tol {args.tol:g}: {len(report.triad_columns[3])}")
+    listing = _triad_listing(problem.labels, report.triad_columns)
+    _emit(args, chain(["\n".join(lines) + "\n"], listing))
     return 0 if report.clean else 1
+
+
+_LISTING_CHUNK = 1 << 14  # rows per formatted piece of the triad listing
+
+
+def _triad_listing(labels, columns) -> Iterator[str]:
+    """The ``  (a, b, c): deviation d`` lines, in pieces of a bounded number
+    of rows, so memory does not grow with the number of deviations."""
+    i, j, k, deviation = columns
+    names = np.array(labels, dtype=object)
+    for start in range(0, len(deviation), _LISTING_CHUNK):
+        rows = slice(start, start + _LISTING_CHUNK)
+        # One %-format over the flattened (label, label, label, deviation)
+        # rows is about a sixth faster than formatting a string per line.
+        cells = np.stack(
+            [names[i[rows]], names[j[rows]], names[k[rows]], deviation[rows].astype(object)], axis=1
+        )
+        yield ("  (%s, %s, %s): deviation %.6g\n" * len(cells)) % tuple(cells.ravel().tolist())
 
 
 def cmd_complete(args) -> int:
@@ -146,7 +164,7 @@ def cmd_complete(args) -> int:
     ranking = _SOLVERS[args.method](problem.matrix, problem.partition, tol=args.tol)
     filled = fill_missing(problem.matrix, ranking.values)
     completed = dataclasses.replace(problem, matrix=filled)
-    _emit(args, serialize_problem(completed, _format_of(args), args.number_style))
+    _emit(args, [serialize_problem(completed, _format_of(args), args.number_style)])
     return 0
 
 
@@ -167,7 +185,7 @@ def cmd_compare(args) -> int:
             a, b = names[a_idx], names[b_idx]
             diff = _max_relative_difference(columns[a], columns[b])
             lines.append(f"max relative difference {a}/{b}: {diff:.6g}")
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, ["\n".join(lines) + "\n"])
     return 0
 
 

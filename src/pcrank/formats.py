@@ -11,6 +11,11 @@ integers, the conventional way ratio judgments are recorded.  Internally
 the matrix is one ``float64`` grid with NaN for ``?``, from the parser to
 the serializer.  Empty cells are an error rather than a missing value:
 silent emptiness hides data-entry mistakes, ``?`` states intent.
+
+A plain decimal CSV matrix is read by numpy's C reader in one call; every
+other matrix, and any grid that reader would read differently, goes cell by
+cell through :func:`parse_value`, with the same values, messages and line
+numbers.  CSV decimal output is formatted one ``%`` per row.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +34,11 @@ from .errors import ParseError, StructureError
 from .matrix import MISSING, Entry, PCMatrix, Partition
 
 _FRACTION = re.compile(r"(\d+)\s*/\s*(\d+)")
+
+# The fraction style prints p/q, q <= _MAX_DENOMINATOR, when it is within
+# _FRACTION_TOL of the value (relative, or absolute below 1).
+_MAX_DENOMINATOR = 9999
+_FRACTION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,28 +111,86 @@ def parse_value(token: str, line: int | None = None) -> Entry:
     return value
 
 
+def _limit_denominator(value: float, max_denominator: int) -> tuple[int, int]:
+    """``Fraction(value).limit_denominator(max_denominator)`` as ``(p, q)``,
+    computed on the integers of ``value.as_integer_ratio()``."""
+    numerator, denominator = value.as_integer_ratio()
+    if denominator <= max_denominator:
+        return numerator, denominator
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = numerator, denominator
+    while True:  # the convergents p1/q1 of the continued fraction
+        a, r = divmod(n, d)
+        q2 = q0 + a * q1
+        if q2 > max_denominator:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, r
+    k = (max_denominator - q0) // q1
+    # value lies between p1/q1 and the semiconvergent (p0 + k p1)/(q0 + k q1),
+    # which are 1/(q1 (q0 + k q1)) apart; p1/q1 wins when at least as close.
+    if 2 * d * (q0 + k * q1) <= denominator:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def format_value(value: float, style: str = "decimal") -> str:
     """Render a value with 12 significant digits, or as ``p/q`` when the
     fraction style is selected and the value is (up to rounding) a ratio of
     small integers."""
     if style == "fraction":
-        frac = Fraction(value).limit_denominator(9999)
-        if frac > 0 and abs(float(frac) - value) <= 1e-12 * max(1.0, abs(value)):
-            if frac.denominator == 1:
-                return str(frac.numerator)
-            return f"{frac.numerator}/{frac.denominator}"
+        p, q = _limit_denominator(value, _MAX_DENOMINATOR)
+        if p > 0 and abs(p / q - value) <= _FRACTION_TOL * max(1.0, abs(value)):
+            return str(p) if q == 1 else f"{p}/{q}"
     elif style != "decimal":
         raise ValueError(f"unknown number style {style!r}")
     return f"{value:.12g}"
 
 
-def _csv_rows(text: str) -> list[tuple[int, list[str]]]:
+def _fraction_candidates(values: np.ndarray) -> np.ndarray:
+    """A mask, shaped like ``values``, holding every cell the fraction style
+    may print as ``p/q``.  It runs the search of :func:`_limit_denominator`
+    on all cells at once and leaves a cell out only when neither fraction
+    that search chooses between passes the test in :func:`format_value`.
+
+    In float64 the search is exact for 2**-20 <= v <= 2**20 (other cells are
+    kept): v is n / 2**j with n < 2**53, ``divmod`` leaves exact remainders
+    and exact quotients below 2**51 (a larger one ends the search anyway),
+    and every p and q stays below 2**53, so each test sees the same floats.
+    """
+    def close(p, q, x):
+        return (p > 0) & (np.abs(p / q - x) <= _FRACTION_TOL * np.maximum(1.0, np.abs(x)))
+
+    v = values.ravel()
+    keep = np.ones(v.shape, dtype=bool)
+    cell = np.flatnonzero((v >= 2.0**-20) & (v <= 2.0**20))
+    x = v[cell]
+    mantissa, exponent = np.frexp(x)
+    n, d = np.ldexp(mantissa, 53), np.ldexp(1.0, 53 - exponent)
+    p0, q0, p1, q1 = np.zeros_like(x), np.ones_like(x), np.ones_like(x), np.zeros_like(x)
+    while cell.size:
+        a, r = np.divmod(n, d)
+        q2 = q0 + a * q1
+        end = q2 > _MAX_DENOMINATOR
+        p, q, y = p1[end], q1[end], x[end]
+        k = (_MAX_DENOMINATOR - q0[end]) // q
+        keep[cell[end]] = close(p, q, y) | close(p0[end] + k * p, q0[end] + k * q, y)
+        p0, p1, q0, q1, n, d = p1, p0 + a * p1, q1, q2, d, r
+        go = ~end & (r > 0)  # r == 0: v is p1/q1 exactly, and is kept
+        cell, x, n, d, p0, p1, q0, q1 = (c[go] for c in (cell, x, n, d, p0, p1, q0, q1))
+    return keep.reshape(values.shape)
+
+
+def _csv_rows(text: str, first_line: int = 1) -> list[tuple[int, list[str]]]:
+    """Stripped cells of each CSV record, with the number of the line it ends
+    on; the text starts on line ``first_line``."""
     normalized = text.replace("\r\n", "\n").replace("\r", "\n")
     reader = csv.reader(io.StringIO(normalized))
+    offset = first_line - 1
     try:
-        return [(reader.line_num, list(map(str.strip, cells))) for cells in reader]
+        return [(reader.line_num + offset, list(map(str.strip, cells))) for cells in reader]
     except csv.Error as exc:  # e.g. a field beyond the csv module's size limit
-        raise ParseError(str(exc), reader.line_num) from None
+        raise ParseError(str(exc), reader.line_num + offset) from None
 
 
 def _split_blocks(rows: list[tuple[int, list[str]]]) -> list[list[tuple[int, list[str]]]]:
@@ -171,24 +238,59 @@ def parse_known(text: str) -> dict[str, float]:
     return _parse_known_block(blocks[0])
 
 
-def _parse_csv_problem(text: str) -> tuple[list[str], np.ndarray, dict[str, float]]:
-    blocks = _split_blocks(_csv_rows(text))
-    if not blocks:
-        raise ParseError("empty input")
-    if len(blocks) > 2:
-        raise ParseError("expected at most two blocks: the matrix and the known priorities")
-    matrix_rows = blocks[0]
-    header_line, header = matrix_rows[0]
+def _plain_grid(text: str) -> tuple[list[str], np.ndarray, str] | None:
+    """The labels and grid of a plain decimal CSV matrix block, read by
+    numpy's C reader, and the text after the blank line that ends the block;
+    None unless the row path would read the same labels and grid.
+
+    ``loadtxt`` converts with ``PyOS_string_to_double`` as ``float`` does,
+    except that it rejects underscores and non-ASCII digits, and it strips the
+    same whitespace as ``str.strip``.  So on text the csv reader splits on
+    commas alone, a grid it reads with one NaN per ``?`` cell and no other
+    non-finite value equals the one ``parse_value`` gives cell by cell.
+    """
+    header, _, body = text.partition("\n")
+    labels = [cell.strip() for cell in header.split(",")[1:]]
+    n = len(labels)
+    lines = body.split("\n", n + 1)
+    rows = lines[:n]
+    if (
+        not labels
+        or not all(labels)  # also keeps a blank first line out
+        or len(rows) != n
+        or len(lines) > n and lines[n].replace(",", "").strip()  # a row after the last
+        or '"' in text
+        or "\0" in text
+        or any("/" in row for row in rows)  # loadtxt rejects p/q: skip its work
+        or max(map(len, [header, *rows])) > csv.field_size_limit()
+    ):
+        return None
+    # A '?' that starts a cell becomes 'nan'; any other '?' fails to convert.
+    mapped = [row.replace(",?", ",nan") for row in rows]
+    missing = (sum(map(len, mapped)) - sum(map(len, rows))) // 2
+    cells = [row.partition(",") for row in mapped]
+    if [label.strip() for label, _, _ in cells] != labels or not all(rest for _, _, rest in cells):
+        return None  # an empty line would be skipped by loadtxt
+    try:
+        grid = np.loadtxt([rest for _, _, rest in cells], delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if grid.shape != (n, n) or np.isfinite(grid).sum() != n * n - missing:
+        return None  # ragged rows, or a literal nan or inf
+    return labels, grid, lines[n + 1] if len(lines) > n + 1 else ""
+
+
+def _parse_matrix_block(rows: list[tuple[int, list[str]]]) -> tuple[list[str], np.ndarray]:
+    header_line, header = rows[0]
     if len(header) < 2:
         raise ParseError("header must be 'label,<label1>,...'", header_line)
     labels = header[1:]
     n = len(labels)
-    data = matrix_rows[1:]
+    data = rows[1:]
     if len(data) != n:
         raise ParseError(
             f"expected {n} matrix rows after the header, found {len(data)}", header_line
         )
-    grid = np.empty((n, n))
     for i, (line, cells) in enumerate(data):
         if len(cells) != n + 1:
             raise ParseError(f"row needs {n + 1} cells, got {len(cells)}", line)
@@ -197,16 +299,26 @@ def _parse_csv_problem(text: str) -> tuple[list[str], np.ndarray, dict[str, floa
                 f"row label {cells[0]!r} does not match header order (expected {labels[i]!r})",
                 line,
             )
-        # float reads tokens without '/' as parse_value does; a row it cannot
-        # read exactly so goes through parse_value (None becomes NaN).
-        tokens = cells[1:]
-        try:
-            grid[i] = [math.nan if token == "?" else float(token) for token in tokens]
-            exact = np.isfinite(grid[i]).sum() == n - tokens.count("?")
-        except ValueError:
-            exact = False
-        if not exact:
-            grid[i] = [parse_value(token, line) for token in tokens]
+    grid = [[parse_value(token, line) for token in cells[1:]] for line, cells in data]
+    return labels, np.array(grid, dtype=float)  # None becomes NaN
+
+
+def _parse_csv_problem(text: str) -> tuple[list[str], np.ndarray, dict[str, float]]:
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    plain = _plain_grid(text)
+    if plain is None:
+        blocks = _split_blocks(_csv_rows(text))
+        if not blocks:
+            raise ParseError("empty input")
+    else:
+        labels, grid, rest = plain
+        # The rest starts on the line after the header, the n rows and the blank.
+        blocks = [[], *_split_blocks(_csv_rows(rest, len(labels) + 3))]
+    if len(blocks) > 2:
+        raise ParseError("expected at most two blocks: the matrix and the known priorities")
+    if plain is None:
+        labels, grid = _parse_matrix_block(blocks[0])
     known = _parse_known_block(blocks[1]) if len(blocks) == 2 else {}
     return labels, grid, known
 
@@ -372,21 +484,33 @@ def serialize_problem(problem: Problem, fmt: str = "csv", number_style: str = "d
     """Serialize a problem back to text, in the original label order."""
     labels = problem.original_labels
     order = problem.file_order
-    grid = problem.matrix.array[np.ix_(order, order)].tolist()
+    array = problem.matrix.array[np.ix_(order, order)]
+    grid = array.tolist()
     known = dict(problem.known)
 
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["label", *labels])
-        decimal = number_style == "decimal"
-        for label, row in zip(labels, grid):
-            # Numbers and '?' never need quoting; only the label may.
-            cells = [
-                "?" if math.isnan(v) else f"{v:.12g}" if decimal else format_value(v, number_style)
-                for v in row
+        if number_style == "decimal":
+            # One %-format per row; only a row holding NaN has 'nan' to mark.
+            row_format = ",".join(["%.12g"] * len(labels))
+            rows = [row_format % tuple(row) for row in grid]
+            for i in np.flatnonzero(np.isnan(array).any(axis=1)).tolist():
+                rows[i] = rows[i].replace("nan", "?")
+        else:
+            # Only a candidate cell needs the exact search; the rest print as decimals.
+            candidates = _fraction_candidates(array).tolist()
+            rows = [
+                ",".join([
+                    "?" if math.isnan(v) else format_value(v, number_style) if c else "%.12g" % v
+                    for v, c in zip(row, row_candidates)
+                ])
+                for row, row_candidates in zip(grid, candidates)
             ]
-            out.write(_csv_field(label) + "," + ",".join(cells) + "\n")
+        for label, row in zip(labels, rows):
+            # Numbers and '?' never need quoting; only the label may.
+            out.write(_csv_field(label) + "," + row + "\n")
         if known:
             writer.writerow([])
             writer.writerow(["label", "priority"])

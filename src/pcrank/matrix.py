@@ -268,18 +268,24 @@ def _triad_columns(matrix: PCMatrix, tol: float):
     ``itertools.combinations``.  Each ``i`` scans its (j, k) block at once.
     """
     a = matrix.array
-    blocks = [(np.empty(0, dtype=np.intp),) * 3 + (np.empty(0),)]
+    counts = []
+    pieces = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
     for i in range(matrix.n - 2):
         row, rest = a[i, i + 1 :], a[i + 1 :, i + 1 :]
         direct = row[:, None]
         deviation = np.abs(direct - row[None, :] * rest.T) / direct
         # A missing pair makes the deviation NaN, which never exceeds tol.
         js, ks = np.nonzero(np.triu(deviation > tol, 1))
-        blocks.append((np.full_like(js, i), js + i + 1, ks + i + 1, deviation[js, ks]))
-    columns = tuple(map(np.concatenate, zip(*blocks)))
+        counts.append(len(js))
+        for column, values in zip(pieces, (js + i + 1, ks + i + 1, deviation[js, ks])):
+            column.append(values)
+    columns = [np.repeat(np.arange(len(counts), dtype=np.intp), counts)]
+    for column in pieces:  # joined one at a time, freeing its pieces, to bound peak memory
+        columns.append(np.concatenate(column))
+        column.clear()
     for column in columns:
         column.flags.writeable = False
-    return columns
+    return tuple(columns)
 
 
 def _triad_rows(columns):

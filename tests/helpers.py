@@ -356,8 +356,18 @@ def serialize_problem_cells(problem: Problem, fmt: str = "csv", number_style: st
     return json.dumps(obj, indent=2) + "\n"
 
 
+# Tokens on which numpy's C reader and ``parse_value`` might disagree, and
+# extreme magnitudes; the plain grids of :func:`problem_texts` now and then
+# hold one.
+ODD_TOKENS = [
+    "1_0", "0x10", "+inf", "inf", "-inf", "nan", "NaN", "-nan", " 1.5 ", "\xa01.5\xa0",
+    "\u0661\u0662", "1e400", "1e-400", "-0", "2#x", "-?", "+?", " ?", "? ", "?1", "\u20281",
+    "1\x00", "5e-324", "1e-300", "1e300",
+]
+
+
 @st.composite
-def problem_texts(draw, max_label: int = 4):
+def problem_texts(draw, max_label: int = 4, plain: bool = False):
     """Hypothesis strategy for problem files: (text, fmt, force_reciprocal).
 
     Cells are decimals or ``p/q`` fractions, drawn independently for the two
@@ -366,19 +376,28 @@ def problem_texts(draw, max_label: int = 4):
     to be rebuilt, when its cells are drawn on their own.  Labels may need
     CSV quoting and have 1 to ``max_label`` characters; a random subset is
     known.
+
+    ``plain`` draws the CSV files numpy's C reader takes: decimal cells only,
+    labels that need no quoting (``?`` may sit inside one), LF or CRLF line
+    ends, and a blank or ``,,,`` line before the known block.  One grid in
+    three also holds a few of :data:`ODD_TOKENS`.
     """
     n = draw(st.integers(min_value=1, max_value=7))
-    label = st.text(alphabet='ab,"\' é\n', min_size=1, max_size=max_label)
+    alphabet = "ab? é-" if plain else 'ab,"\' é\n'
+    label = st.text(alphabet=alphabet, min_size=1, max_size=max_label)
     label = label.filter(lambda t: t == t.strip())
     labels = draw(st.lists(label, min_size=n, max_size=n, unique=True))
-    fmt = draw(st.sampled_from(["csv", "json"]))
+    fmt = "csv" if plain else draw(st.sampled_from(["csv", "json"]))
     force_reciprocal = draw(st.booleans())
     decimal = st.builds(lambda v, p: f"{v:.{p}g}", st.floats(1e-4, 1e4), st.integers(1, 17))
     fraction = st.tuples(st.integers(1, 40), st.integers(1, 40), st.sampled_from(["/", " / "]))
-    value = st.one_of(decimal, fraction.map(lambda t: f"{t[0]}{t[2]}{t[1]}"))
+    fraction = fraction.map(lambda t: f"{t[0]}{t[2]}{t[1]}")
+    value = decimal if plain else st.one_of(decimal, fraction)
     cell = st.one_of(value, st.just("?"))
     if draw(st.integers(0, 9)) == 0:
         cell = st.one_of(cell, st.sampled_from(["0", "-2"]))
+    if plain and draw(st.integers(0, 2)) == 0:
+        cell = st.one_of(cell, st.sampled_from(ODD_TOKENS))
     grid = [["1"] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -394,9 +413,11 @@ def problem_texts(draw, max_label: int = 4):
         writer.writerow(["label", *labels])
         writer.writerows([lab, *row] for lab, row in zip(labels, grid))
         if known:
-            writer.writerow([])
+            out.write(",,,\n" if plain and draw(st.booleans()) else "\n")
             writer.writerows(known.items())
         text = out.getvalue()
+        if plain and draw(st.booleans()):
+            text = text.replace("\n", "\r\n")
     else:
         def json_cell(token: str):
             return token if "/" in token or token == "?" else float(token)

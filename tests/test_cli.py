@@ -7,12 +7,14 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import check_report_rows, problem_texts, triad_deviations_loops
 from pcrank import PcrankError, diagnose, parse_problem
+from pcrank import cli
 from pcrank.cli import main
 
 MICRO_CSV = """label,a,b,c
@@ -457,6 +459,38 @@ def test_check_matches_row_reference(problem_text, tol):
     assert (out.getvalue(), code) == check_report_rows(problem, tol)
     report = diagnose(problem.matrix, tol=tol)
     assert report.triad_deviations == tuple(triad_deviations_loops(problem.matrix, tol))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_check_listing_across_chunk_boundaries(offset, to_file, tmp_path, capsys, monkeypatch):
+    """The listing is written in pieces of ``_LISTING_CHUNK`` rows; with the
+    deviation count one below, at and one above the piece size, stdout and
+    ``--output`` hold the report built one line per finding."""
+    rng = np.random.default_rng(3)
+    n = 7
+    rows = [["1"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            value = float(rng.uniform(0.2, 5.0))
+            rows[i][j], rows[j][i] = repr(value), repr(1.0 / value)
+    text = "label," + ",".join(f"x{i}" for i in range(n)) + "\n"
+    text += "".join(f"x{i}," + ",".join(row) + "\n" for i, row in enumerate(rows))
+    text += "\nlabel,priority\nx0,1\n"
+    problem = parse_problem(text)
+    expected, code = check_report_rows(problem, 1e-9)
+    deviations = len(triad_deviations_loops(problem.matrix, 1e-9))
+    assert deviations > 2
+    monkeypatch.setattr(cli, "_LISTING_CHUNK", deviations - offset)
+    argv = ["check", write(tmp_path, "noisy.csv", text)]
+    if to_file:
+        argv += ["--output", str(tmp_path / "report.txt")]
+    assert main(argv) == code == 1
+    out = capsys.readouterr().out
+    if to_file:
+        assert out == ""
+        out = (tmp_path / "report.txt").read_text(encoding="utf-8")
+    assert out == expected
 
 
 class TestByteOrderMark:

@@ -1,9 +1,12 @@
 import json
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from pcrank import (
     MISSING,
@@ -19,6 +22,7 @@ from pcrank import (
 )
 
 from helpers import (
+    ODD_TOKENS,
     parse_problem_cells,
     problem_texts,
     ratio_rows,
@@ -183,8 +187,101 @@ def _outcome(parse, *args):
         return type(exc), str(exc)
 
 
+@pytest.mark.parametrize("token", ODD_TOKENS)
+def test_odd_token_in_plain_grid_parses_as_cells(token):
+    # The other cells are plain decimals and '?', so the C reader is tried first.
+    text = f"label,a,b,c\na,1,?,1\nb,?,1,{token}\nc,1,1,1\n\nlabel,priority\nc,1\n"
+    problem = _outcome(parse_problem, text)
+    reference = _outcome(parse_problem_cells, text)
+    if isinstance(reference, tuple):
+        assert problem == reference
+    else:
+        assert np.array_equal(problem.matrix.array, reference.matrix.array, equal_nan=True)
+        assert np.array_equal(np.signbit(problem.matrix.array), np.signbit(reference.matrix.array))
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("label,a,b\na,1,2,3\nb,0.5,1,3\n", 2),
+        ("label,a,b\na,1,2\nb,0.5,1,\n", 3),
+        ("label,a,b\na,1,?,?\nb,?,1\n", 2),
+        ("label,a,b\na,1,2,nan\nb,0.5,1,inf\n", 2),
+    ],
+)
+def test_extra_trailing_column_is_an_error(text, line):
+    # The cell reference reads valid files only, so this is checked apart.
+    with pytest.raises(ParseError, match="row needs 3 cells, got 4") as got:
+        parse_problem(text)
+    assert got.value.line == line
+
+
+WIDE = "1." + "0" * 131_071  # one character past the csv module's field size limit
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("label,a\na\n", "line 2: row needs 2 cells, got 1"),
+        (
+            "label,a,b\na,1,2\nb,0.5,1\nc,1,1\n",
+            "line 1: expected 2 matrix rows after the header, found 3",
+        ),
+        (f"label,a,b\na,1,2\nb,0.5,{WIDE}\n", "line 3: field larger than field limit (131072)"),
+        (
+            "label,a,b\na,1,2\nb,0.5,1\n\nlabel,priority\nb,-1\n",
+            "line 6: known priority for 'b' must be positive, got '-1'",
+        ),
+        (f"label,a,b\na,1,2\nb,0.5,1\n\n\nb,{WIDE}\n",
+         "line 6: field larger than field limit (131072)"),
+        (
+            "label,a,b\na,1,2\nb,0.5,1\n\nb,1\n\na,1\n",
+            "expected at most two blocks: the matrix and the known priorities",
+        ),
+    ],
+)
+def test_plain_grid_errors_keep_messages_and_lines(text, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the CLI would print any warning
+        with pytest.raises(ParseError) as got:
+            parse_problem(text)
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "label,a,b,c\na,1,?,2.5\nb,?,1,1e-3\nc,0.4,1000,1\n",
+        "label,a?,b\r\na?,1,?\r\nb,?,1\r\n,,,\r\nlabel,priority\r\nb,1\r\n",
+        "label,x\nx,1",
+    ],
+)
+def test_plain_decimal_csv_takes_the_c_reader(text, monkeypatch):
+    expected = parse_problem(text)
+
+    def row_path(rows):
+        raise AssertionError("plain decimal grid read cell by cell")
+
+    monkeypatch.setattr(formats, "_parse_matrix_block", row_path)
+    problem = parse_problem(text)
+    assert (problem.labels, problem.known) == (expected.labels, expected.known)
+    assert np.array_equal(problem.matrix.array, expected.matrix.array, equal_nan=True)
+
+
+GATE_FILES = [
+    "label,a?,b\na?,1,?\nb,?,1\n\nlabel,priority\nb,1\n",  # '?' inside a label
+    'label,"a,plus",b\n"a,plus",1,2\nb,0.5,1\n\nb,1\n',  # quoted label with a comma
+    "label,a,b\r\na,1,?\r\nb,?,1\r\n\r\nlabel,priority\r\nb,1\r\n",  # CRLF
+    "label,a,b\na,1,2\nb,0.5,1\n,,,\nlabel,priority\nb,1\n",  # ',,,' between the blocks
+]
+
+
 @settings(max_examples=200, deadline=None)
-@given(problem_texts())
+@given(st.one_of(problem_texts(), problem_texts(plain=True)))
+@example((GATE_FILES[0], "csv", False))
+@example((GATE_FILES[1], "csv", False))
+@example((GATE_FILES[2], "csv", True))
+@example((GATE_FILES[3], "csv", False))
 def test_parse_matches_cell_reference(case):
     text, fmt, force_reciprocal = case
     problem = _outcome(parse_problem, text, fmt, None, force_reciprocal)
@@ -199,8 +296,18 @@ def test_parse_matches_cell_reference(case):
     assert np.array_equal(problem.matrix.array, reference.matrix.array, equal_nan=True)
 
 
+# NaN rows, extreme magnitudes, and labels that need quoting.
+SERIALIZE_FILES = [
+    'label,"x,1",y,"z""q"\n"x,1",1,5e-324,?\ny,1e300,1,1e-300\n"z""q",?,1e300,1\n\ny,2\n',
+    '{"alternatives": ["x,1", "y", "z\\"q"], "known": {"y": 2},'
+    ' "matrix": [[1, 5e-324, "?"], [1e300, 1, 1e-300], ["?", 1e300, 1]]}',
+]
+
+
 @settings(max_examples=150, deadline=None)
-@given(problem_texts())
+@given(st.one_of(problem_texts(), problem_texts(plain=True)))
+@example((SERIALIZE_FILES[0], "csv", False))
+@example((SERIALIZE_FILES[1], "json", False))
 def test_serialize_matches_cell_reference(case):
     text, fmt, force_reciprocal = case
     problem = _outcome(parse_problem, text, fmt, None, force_reciprocal)
@@ -210,6 +317,64 @@ def test_serialize_matches_cell_reference(case):
             assert serialize_problem(problem, out_fmt, style) == serialize_problem_cells(
                 problem, out_fmt, style
             )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-1e4, max_value=1e4),
+        st.tuples(st.integers(1, 30000), st.integers(1, 30000)).map(lambda t: t[0] / t[1]),
+    ),
+    st.sampled_from([1, 2, 3, 7, 100, 9999]),
+)
+@example(0.5, 1)  # ties between the two candidates: the convergent wins
+@example(2.5, 1)
+@example(0.25, 2)
+@example(-0.75, 2)
+@example(5e-324, 9999)
+def test_limit_denominator_matches_fraction(value, max_denominator):
+    frac = Fraction(value).limit_denominator(max_denominator)
+    assert formats._limit_denominator(value, max_denominator) == (frac.numerator, frac.denominator)
+
+
+FRACTION_EDGES = [
+    2.0**-20, 2.0**20, np.nextafter(2.0**-20, 0), np.nextafter(2.0**20, np.inf), 1 / 9999,
+    9999.0, 9999.5, 0.5, 1.0, 5e-324, 1e-300, 1e300, 0.0, -0.5, 1 + 1e-12, 1 + 2e-12,
+    22610.84667014003, 221774.54317571406,  # only the semiconvergent passes
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+            st.floats(min_value=1e-4, max_value=1e4),
+            st.builds(
+                lambda p, q, e: p / q * (1.0 + e),
+                st.integers(1, 30000),
+                st.integers(1, 30000),
+                st.sampled_from([0.0, 1e-13, -1e-13, 9e-13, 3e-12]),
+            ),
+            st.sampled_from(FRACTION_EDGES),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+@example(FRACTION_EDGES)
+def test_fraction_candidates_keep_every_cell_printed_as_a_fraction(values):
+    keep = formats._fraction_candidates(np.array(values).reshape(1, -1))
+    assert keep.shape == (1, len(values))
+    for value, kept in zip(values, keep[0].tolist()):
+        if not kept:
+            assert format_value(value, "fraction") == f"{value:.12g}"
+
+
+def test_fraction_candidates_leave_out_plain_decimals():
+    keep = formats._fraction_candidates(np.array([[math.pi, 0.75], [1 / 3, math.e]]))
+    assert keep.tolist() == [[False, True], [True, False]]
 
 
 class TestParseErrors:
