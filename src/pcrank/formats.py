@@ -147,50 +147,20 @@ def format_value(value: float, style: str = "decimal") -> str:
     return f"{value:.12g}"
 
 
-def _fraction_candidates(values: np.ndarray) -> np.ndarray:
-    """A mask, shaped like ``values``, holding every cell the fraction style
-    may print as ``p/q``.  It runs the search of :func:`_limit_denominator`
-    on all cells at once and leaves a cell out only when neither fraction
-    that search chooses between passes the test in :func:`format_value`.
-
-    In float64 the search is exact for 2**-20 <= v <= 2**20 (other cells are
-    kept): v is n / 2**j with n < 2**53, ``divmod`` leaves exact remainders
-    and exact quotients below 2**51 (a larger one ends the search anyway),
-    and every p and q stays below 2**53, so each test sees the same floats.
-    """
-    def close(p, q, x):
-        return (p > 0) & (np.abs(p / q - x) <= _FRACTION_TOL * np.maximum(1.0, np.abs(x)))
-
-    v = values.ravel()
-    keep = np.ones(v.shape, dtype=bool)
-    cell = np.flatnonzero((v >= 2.0**-20) & (v <= 2.0**20))
-    x = v[cell]
-    mantissa, exponent = np.frexp(x)
-    n, d = np.ldexp(mantissa, 53), np.ldexp(1.0, 53 - exponent)
-    p0, q0, p1, q1 = np.zeros_like(x), np.ones_like(x), np.ones_like(x), np.zeros_like(x)
-    while cell.size:
-        a, r = np.divmod(n, d)
-        q2 = q0 + a * q1
-        end = q2 > _MAX_DENOMINATOR
-        p, q, y = p1[end], q1[end], x[end]
-        k = (_MAX_DENOMINATOR - q0[end]) // q
-        keep[cell[end]] = close(p, q, y) | close(p0[end] + k * p, q0[end] + k * q, y)
-        p0, p1, q0, q1, n, d = p1, p0 + a * p1, q1, q2, d, r
-        go = ~end & (r > 0)  # r == 0: v is p1/q1 exactly, and is kept
-        cell, x, n, d, p0, p1, q0, q1 = (c[go] for c in (cell, x, n, d, p0, p1, q0, q1))
-    return keep.reshape(values.shape)
-
-
 def _csv_rows(text: str, first_line: int = 1) -> list[tuple[int, list[str]]]:
     """Stripped cells of each CSV record, with the number of the line it ends
-    on; the text starts on line ``first_line``."""
-    normalized = text.replace("\r\n", "\n").replace("\r", "\n")
-    reader = csv.reader(io.StringIO(normalized))
+    on; the text, with LF line ends only, starts on line ``first_line``."""
+    reader = csv.reader(io.StringIO(text))
     offset = first_line - 1
     try:
         return [(reader.line_num + offset, list(map(str.strip, cells))) for cells in reader]
     except csv.Error as exc:  # e.g. a field beyond the csv module's size limit
         raise ParseError(str(exc), reader.line_num + offset) from None
+
+
+def _lf_lines(text: str) -> str:
+    """``text`` with CRLF and CR line ends turned into LF."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _split_blocks(rows: list[tuple[int, list[str]]]) -> list[list[tuple[int, list[str]]]]:
@@ -230,7 +200,7 @@ def _parse_known_block(rows: list[tuple[int, list[str]]]) -> dict[str, float]:
 def parse_known(text: str) -> dict[str, float]:
     """Parse a standalone known-priorities file (CSV rows ``label,priority``,
     optional header)."""
-    blocks = _split_blocks(_csv_rows(text))
+    blocks = _split_blocks(_csv_rows(_lf_lines(text)))
     if not blocks:
         return {}
     if len(blocks) > 1:
@@ -304,21 +274,22 @@ def _parse_matrix_block(rows: list[tuple[int, list[str]]]) -> tuple[list[str], n
 
 
 def _parse_csv_problem(text: str) -> tuple[list[str], np.ndarray, dict[str, float]]:
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    text = _lf_lines(text)
     plain = _plain_grid(text)
-    if plain is None:
-        blocks = _split_blocks(_csv_rows(text))
-        if not blocks:
-            raise ParseError("empty input")
-    else:
+    if plain is not None:
         labels, grid, rest = plain
         # The rest starts on the line after the header, the n rows and the blank.
-        blocks = [[], *_split_blocks(_csv_rows(rest, len(labels) + 3))]
+        blocks = _split_blocks(_csv_rows(rest, len(labels) + 3))
+        if len(blocks) > 1:
+            raise ParseError("expected at most two blocks: the matrix and the known priorities")
+        known = _parse_known_block(blocks[0]) if blocks else {}
+        return labels, grid, known
+    blocks = _split_blocks(_csv_rows(text))
+    if not blocks:
+        raise ParseError("empty input")
     if len(blocks) > 2:
         raise ParseError("expected at most two blocks: the matrix and the known priorities")
-    if plain is None:
-        labels, grid = _parse_matrix_block(blocks[0])
+    labels, grid = _parse_matrix_block(blocks[0])
     known = _parse_known_block(blocks[1]) if len(blocks) == 2 else {}
     return labels, grid, known
 
@@ -482,6 +453,8 @@ def _csv_field(text: str) -> str:
 
 def serialize_problem(problem: Problem, fmt: str = "csv", number_style: str = "decimal") -> str:
     """Serialize a problem back to text, in the original label order."""
+    if number_style not in ("decimal", "fraction"):
+        raise ValueError(f"unknown number style {number_style!r}")
     labels = problem.original_labels
     order = problem.file_order
     array = problem.matrix.array[np.ix_(order, order)]
@@ -499,14 +472,9 @@ def serialize_problem(problem: Problem, fmt: str = "csv", number_style: str = "d
             for i in np.flatnonzero(np.isnan(array).any(axis=1)).tolist():
                 rows[i] = rows[i].replace("nan", "?")
         else:
-            # Only a candidate cell needs the exact search; the rest print as decimals.
-            candidates = _fraction_candidates(array).tolist()
             rows = [
-                ",".join([
-                    "?" if math.isnan(v) else format_value(v, number_style) if c else "%.12g" % v
-                    for v, c in zip(row, row_candidates)
-                ])
-                for row, row_candidates in zip(grid, candidates)
+                ",".join(["?" if math.isnan(v) else format_value(v, "fraction") for v in row])
+                for row in grid
             ]
         for label, row in zip(labels, rows):
             # Numbers and '?' never need quoting; only the label may.

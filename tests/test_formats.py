@@ -338,45 +338,6 @@ def test_limit_denominator_matches_fraction(value, max_denominator):
     assert formats._limit_denominator(value, max_denominator) == (frac.numerator, frac.denominator)
 
 
-FRACTION_EDGES = [
-    2.0**-20, 2.0**20, np.nextafter(2.0**-20, 0), np.nextafter(2.0**20, np.inf), 1 / 9999,
-    9999.0, 9999.5, 0.5, 1.0, 5e-324, 1e-300, 1e300, 0.0, -0.5, 1 + 1e-12, 1 + 2e-12,
-    22610.84667014003, 221774.54317571406,  # only the semiconvergent passes
-]
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(
-        st.one_of(
-            st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
-            st.floats(min_value=1e-4, max_value=1e4),
-            st.builds(
-                lambda p, q, e: p / q * (1.0 + e),
-                st.integers(1, 30000),
-                st.integers(1, 30000),
-                st.sampled_from([0.0, 1e-13, -1e-13, 9e-13, 3e-12]),
-            ),
-            st.sampled_from(FRACTION_EDGES),
-        ),
-        min_size=1,
-        max_size=40,
-    )
-)
-@example(FRACTION_EDGES)
-def test_fraction_candidates_keep_every_cell_printed_as_a_fraction(values):
-    keep = formats._fraction_candidates(np.array(values).reshape(1, -1))
-    assert keep.shape == (1, len(values))
-    for value, kept in zip(values, keep[0].tolist()):
-        if not kept:
-            assert format_value(value, "fraction") == f"{value:.12g}"
-
-
-def test_fraction_candidates_leave_out_plain_decimals():
-    keep = formats._fraction_candidates(np.array([[math.pi, 0.75], [1 / 3, math.e]]))
-    assert keep.tolist() == [[False, True], [True, False]]
-
-
 class TestParseErrors:
     @pytest.mark.parametrize(
         "text,match",
@@ -478,6 +439,11 @@ class TestSerialize:
         assert format_value(math.pi, "fraction") == f"{math.pi:.12g}"
         with pytest.raises(ValueError):
             format_value(1.0, "roman")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_serialize_problem_rejects_unknown_number_style(self, fmt):
+        with pytest.raises(ValueError, match="unknown number style 'roman'"):
+            serialize_problem(parse_problem(CSV_3, "csv"), fmt, "roman")
 
     def test_problem_round_trip_csv(self):
         problem = parse_problem(CSV_3, "csv")
