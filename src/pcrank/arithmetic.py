@@ -7,7 +7,8 @@ absorbs it into the diagonal: row ``i`` averages over its
 ``n - s_i - 1`` defined comparisons, where ``s_i`` counts the missing ones.
 Moving the unknown terms left yields a k-by-k linear system with unit
 diagonal; terms involving known alternatives accumulate into the
-constant-term vector.
+constant-term vector.  The builder runs no guard: :func:`solve_arithmetic`
+is ``ensure_solvable``, then the builder, then :meth:`ArithmeticSystem.ranking`.
 
 Unlike the geometric variant the solution is not guaranteed positive: large
 inconsistency can push a component to zero or below, reported as
@@ -40,13 +41,18 @@ class ArithmeticSystem:
     constants: np.ndarray
     row_denominators: tuple[int, ...]
 
+    def ranking(self, partition: Partition) -> Ranking:
+        """Solve; raises ``SingularMatrixError`` when there is no unique
+        solution, ``NonPositiveSolutionError`` for a priority <= 0."""
+        x = solve(self.coeff, self.constants)
+        if np.any(x <= 0.0):
+            raise NonPositiveSolutionError(x)
+        return Ranking(tuple(float(v) for v in x) + partition.known, partition.k)
+
 
 @np.errstate(over="ignore")  # overflow gives inf, which solve rejects
-def build_arithmetic_system(
-    matrix: PCMatrix, partition: Partition, tol: float = DEFAULT_TOL
-) -> ArithmeticSystem:
-    """Assemble the averaged linear system after running the guard pipeline."""
-    ensure_solvable(matrix, partition, tol)
+def build_arithmetic_system(matrix: PCMatrix, partition: Partition) -> ArithmeticSystem:
+    """Assemble the averaged linear system of a matrix that passed the guard."""
     k = partition.k
     defined = matrix.mask[:k]
     denominators = defined.sum(axis=1) - 1
@@ -62,14 +68,6 @@ def build_arithmetic_system(
 
 
 def solve_arithmetic(matrix: PCMatrix, partition: Partition, tol: float = DEFAULT_TOL) -> Ranking:
-    """Compute the full ranking; known priorities are preserved verbatim.
-
-    Raises :class:`~pcrank.errors.SingularMatrixError` when the system has no
-    unique solution and :class:`~pcrank.errors.NonPositiveSolutionError` when
-    any computed priority is not strictly positive.
-    """
-    system = build_arithmetic_system(matrix, partition, tol)
-    x = solve(system.coeff, system.constants)
-    if np.any(x <= 0.0):
-        raise NonPositiveSolutionError(x)
-    return Ranking(tuple(float(v) for v in x) + partition.known, partition.k)
+    """Guard, build and rank: the full ranking, known priorities verbatim."""
+    ensure_solvable(matrix, partition, tol)
+    return build_arithmetic_system(matrix, partition).ranking(partition)

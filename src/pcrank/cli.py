@@ -19,14 +19,14 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .arithmetic import solve_arithmetic
+from .arithmetic import build_arithmetic_system
 from .baselines import evm, gmm
 from .errors import ParseError, PcrankError
 from .formats import Problem, parse_problem, serialize_problem, serialize_ranking, serialize_table
-from .geometric import solve_geometric
-from .matrix import DEFAULT_TOL, diagnose, fill_missing
+from .geometric import build_geometric_system
+from .matrix import DEFAULT_TOL, diagnose, ensure_solvable, fill_missing
 
-_SOLVERS = {"arithmetic": solve_arithmetic, "geometric": solve_geometric}
+_BUILDERS = {"arithmetic": build_arithmetic_system, "geometric": build_geometric_system}
 
 
 def _read_text(path: str) -> str:
@@ -77,8 +77,10 @@ def _load(args) -> Problem:
 
 
 def _solve_methods(problem: Problem, methods, tol: float):
-    partition = problem.partition
-    return {name: _SOLVERS[name](problem.matrix, partition, tol=tol) for name in methods}
+    """The ranking by each method in ``methods``, behind one run of the guard."""
+    matrix, partition = problem.matrix, problem.partition
+    ensure_solvable(matrix, partition, tol)
+    return {name: _BUILDERS[name](matrix, partition).ranking(partition) for name in methods}
 
 
 def _in_file_order(problem: Problem, columns: dict) -> dict:
@@ -161,7 +163,7 @@ def _triad_listing(labels, columns) -> Iterator[str]:
 
 def cmd_complete(args) -> int:
     problem = _load(args)
-    ranking = _SOLVERS[args.method](problem.matrix, problem.partition, tol=args.tol)
+    ranking = _solve_methods(problem, [args.method], args.tol)[args.method]
     filled = fill_missing(problem.matrix, ranking.values)
     completed = dataclasses.replace(problem, matrix=filled)
     _emit(args, [serialize_problem(completed, _format_of(args), args.number_style)])
@@ -253,13 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    seen: set[str] = set()
 
     def show_warning(message, category, filename, lineno, file=None, line=None):
-        text = str(message)
-        if text not in seen:
-            seen.add(text)
-            print(f"WARNING: {text}", file=sys.stderr)
+        print(f"WARNING: {message}", file=sys.stderr)
 
     try:
         with warnings.catch_warnings():

@@ -11,6 +11,8 @@ system solves at all.
 
 The logarithm base is mathematically irrelevant (it cancels in the back
 transformation); it is exposed only so that invariance can be demonstrated.
+The builder runs no guard: :func:`solve_geometric` is ``ensure_solvable`` (so
+its errors precede a bad ``log_base``'s), the builder, then ``.ranking``.
 """
 
 from __future__ import annotations
@@ -42,17 +44,24 @@ class GeometricSystem:
     constants: np.ndarray
     log_base: float
 
+    def ranking(self, partition: Partition) -> Ranking:
+        """Solve and exponentiate; ``SingularMatrixError`` when a priority
+        leaves the float range or the system is singular (after the guard
+        the matrix is diagonally dominant, which rules that out in practice)."""
+        exponents = solve(self.coeff, self.constants)
+        with np.errstate(over="ignore"):
+            computed = np.exp(exponents * math.log(self.log_base))
+        if not ((computed > 0.0) & (computed < math.inf)).all():
+            raise SingularMatrixError("computed priorities leave the float range")
+        return Ranking(tuple(computed.tolist()) + partition.known, partition.k)
+
 
 def build_geometric_system(
-    matrix: PCMatrix,
-    partition: Partition,
-    log_base: float = math.e,
-    tol: float = DEFAULT_TOL,
+    matrix: PCMatrix, partition: Partition, log_base: float = math.e
 ) -> GeometricSystem:
-    """Assemble the log-linear system after running the guard pipeline."""
+    """Assemble the log-linear system of a matrix that passed the guard."""
     if not (log_base > 0.0 and log_base != 1.0 and math.isfinite(log_base)):
         raise ValueError(f"log base must be positive, finite and != 1, got {log_base!r}")
-    ensure_solvable(matrix, partition, tol)
     k = partition.k
     defined = matrix.mask[:k]
     coeff = np.where(defined[:, :k], -1.0, 0.0)
@@ -70,19 +79,6 @@ def solve_geometric(
     log_base: float = math.e,
     tol: float = DEFAULT_TOL,
 ) -> Ranking:
-    """Compute the full ranking; known priorities are preserved verbatim.
-
-    The computed priorities are exponentials of finite reals, hence
-    strictly positive unless they leave the float range, which raises
-    :class:`~pcrank.errors.SingularMatrixError`.  A singular system is the
-    other solver failure, and the connectivity guard rules it out in
-    practice (the coefficient matrix is diagonally dominant on connected
-    instances).
-    """
-    system = build_geometric_system(matrix, partition, log_base, tol)
-    exponents = solve(system.coeff, system.constants)
-    with np.errstate(over="ignore"):
-        computed = np.exp(exponents * math.log(system.log_base))
-    if not ((computed > 0.0) & (computed < math.inf)).all():
-        raise SingularMatrixError("computed priorities leave the float range")
-    return Ranking(tuple(computed.tolist()) + partition.known, partition.k)
+    """Guard, build and rank: the full ranking, known priorities verbatim."""
+    ensure_solvable(matrix, partition, tol)
+    return build_geometric_system(matrix, partition, log_base).ranking(partition)

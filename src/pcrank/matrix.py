@@ -10,8 +10,10 @@ cell itself.
 
 The solvers split the alternatives into a leading block of ``k`` unknowns
 (priorities to be computed) and a trailing block of knowns (priorities fixed
-up front).  Everything here is immutable and side-effect free, so instances
-can be shared freely across threads.
+up front).  Both methods need what :func:`ensure_solvable` checks, so it runs
+once per input, then ``build_*_system`` assembles and ``.ranking`` solves
+(``solve_*`` does all three).  Everything here is immutable and side-effect
+free, so instances can be shared freely across threads.
 
 Indices are 0-based throughout; the CLI translates to labels for display.
 """
@@ -201,9 +203,14 @@ class Ranking:
 
     def normalized(self) -> "Ranking":
         """Rescale so the values sum to 1.  Alters the known values, so this
-        is presentation only, never an intermediate solver step."""
-        total = sum(self.values)
-        return Ranking(tuple(v / total for v in self.values), self.k)
+        is presentation only.  A sum past the float range is taken over values
+        scaled by a power of two (exact); a 0 quotient is a SingularMatrixError."""
+        scale = 1.0 if sum(self.values) < math.inf else 0.5 ** len(self.values).bit_length()
+        total = sum(v * scale for v in self.values)
+        normalized = tuple(v * scale / total for v in self.values)
+        if 0.0 in normalized:
+            raise SingularMatrixError("a priority rescaled to sum 1 leaves the float range")
+        return Ranking(normalized, self.k)
 
 
 @dataclass(frozen=True)
@@ -350,8 +357,8 @@ def diagnose(
 
 @np.errstate(over="ignore")  # overflow gives inf, as in Python floats
 def ensure_solvable(matrix: PCMatrix, partition: Partition, tol: float = DEFAULT_TOL) -> None:
-    """Guard pipeline run by both solvers, cheapest and most informative
-    failures first: reciprocity, degenerate rows, connectivity.
+    """Guard pipeline that both builders rely on, cheapest and most
+    informative failures first: reciprocity, degenerate rows, connectivity.
 
     Comparisons among known alternatives never enter the systems; if any
     disagree with the fixed priorities a :class:`KnownComparisonWarning` is

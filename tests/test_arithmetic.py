@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pcrank import (
     NonPositiveSolutionError,
     NotConnectedError,
     PCMatrix,
+    PcrankError,
     Partition,
     SingularMatrixError,
     build_arithmetic_system,
@@ -232,3 +234,17 @@ class TestFailureModes:
         ))
         with pytest.raises(NotConnectedError):
             solve_arithmetic(island, Partition(2, (3.0, 1.5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(max_n=12))
+def test_system_ranking_is_solve_arithmetic(instance):
+    # solve_arithmetic is the guard, then the builder, then .ranking.
+    matrix, partition, _ = instance
+    try:
+        expected = solve_arithmetic(matrix, partition)
+    except PcrankError as exc:  # e.g. a non-positive solution
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            build_arithmetic_system(matrix, partition).ranking(partition)
+        return
+    assert build_arithmetic_system(matrix, partition).ranking(partition) == expected

@@ -609,3 +609,104 @@ def test_deterministic_output(tmp_path, capsys):
     first = capsys.readouterr().out
     main(["rank", path])
     assert capsys.readouterr().out == first
+
+
+# b and c are judged equal but fixed at 3 vs 2.5: a known-comparison warning.
+SLOPPY_KNOWNS_CSV = "label,a,b,c\na,1,2,2\nb,1/2,1,1\nc,1/2,1,1\n\nlabel,priority\nb,3\nc,2.5\n"
+
+
+@pytest.fixture
+def guard_calls(monkeypatch):
+    """Every call of ``ensure_solvable``, through whichever pcrank module
+    makes it."""
+    from pcrank import matrix
+
+    calls = []
+    original = matrix.ensure_solvable
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pcrank") and getattr(module, "ensure_solvable", None) is original:
+            monkeypatch.setattr(module, "ensure_solvable", counted)
+    return calls
+
+
+class TestGuardOnce:
+    """Both methods share one precondition, so one invocation checks it once."""
+
+    @pytest.mark.parametrize(
+        "args", [["rank", "--method", "both"], ["compare"], ["complete", "--method", "geometric"]]
+    )
+    def test_guard_runs_once_per_invocation(self, tmp_path, capsys, guard_calls, args):
+        path = write(tmp_path, "micro.csv", MICRO_CSV)
+        assert main([args[0], path, *args[1:]]) == 0
+        assert len(guard_calls) == 1
+
+    @pytest.mark.parametrize("args", [["compare"], ["complete", "--method", "arithmetic"]])
+    def test_known_mismatch_warns_once(self, tmp_path, capsys, args):
+        path = write(tmp_path, "sloppy_knowns.csv", SLOPPY_KNOWNS_CSV)
+        for _ in range(2):  # and again on a second call in the same process
+            assert main([args[0], path, *args[1:]]) == 0
+            err_lines = capsys.readouterr().err.splitlines()
+            assert len(err_lines) == 1 and err_lines[0].startswith("WARNING:")
+
+    def test_warning_in_a_loop_prints_once(self, tmp_path, capsys):
+        # Row sums past the float range turn the power iteration to NaN. Only
+        # the step that makes the NaN warns, so each message prints once.
+        big, small = "1.5e308", repr(1 / 1.5e308)
+        rows = [
+            ",".join([label, *[("1" if (i < 3) == (j < 3) else big if i < 3 else small)
+                               for j in range(6)]])
+            for i, label in enumerate("abcdef")
+        ]
+        text = "label,a,b,c,d,e,f\n" + "\n".join(rows)
+        text += "\n\nlabel,priority\nd,1e-10\ne,1e-10\nf,1e-10\n"
+        path = write(tmp_path, "evm_overflow.csv", text)
+        assert main(["compare", path]) == 3
+        err_lines = capsys.readouterr().err.splitlines()
+        assert err_lines[-1].startswith("NO_CONVERGENCE")
+        warnings_printed = [line for line in err_lines if line.startswith("WARNING:")]
+        assert warnings_printed and len(warnings_printed) == len(set(warnings_printed))
+
+
+class TestNormalizedRange:
+    """Rescaling to sum 1 (``rank --normalize``, ``compare``) at the ends of
+    the float range."""
+
+    # Each priority is 6e307, so their sum overflows.
+    SUM_OVERFLOW_CSV = "label,a,b,c\na,1,1,1\nb,1,1,1\nc,1,1,1\n\nlabel,priority\nb,6e307\nc,6e307\n"
+    # c is 1e-30 beside b at 1e300, so c / (a + b + c) underflows.
+    UNDERFLOW_CSV = (
+        "label,a,b,c\na,1,1e-300,1e30\nb,1e300,1,?\nc,1e-30,?,1\n"
+        "\nlabel,priority\nb,1e300\nc,1e-30\n"
+    )
+
+    def test_rank_normalize_past_sum_overflow(self, tmp_path, capsys):
+        path = write(tmp_path, "sum.csv", self.SUM_OVERFLOW_CSV)
+        assert main(["rank", path, "--normalize", "--method", "arithmetic"]) == 0
+        values = ranking_csv_to_dict(capsys.readouterr().out)
+        assert values == pytest.approx({"a": 1 / 3, "b": 1 / 3, "c": 1 / 3}, rel=1e-12)
+
+    def test_compare_past_sum_overflow(self, tmp_path, capsys):
+        path = write(tmp_path, "sum.csv", self.SUM_OVERFLOW_CSV)
+        assert main(["compare", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = list(csv.reader(io.StringIO(captured.out)))
+        assert rows[1] == ["label", "arithmetic", "geometric", "evm", "gmm"]
+        for row in rows[2:5]:
+            assert [float(v) for v in row[1:]] == pytest.approx([1 / 3] * 4, rel=1e-12)
+
+    @pytest.mark.parametrize("args", [["rank", "--normalize"], ["compare"]])
+    def test_underflow_is_a_solver_failure(self, tmp_path, capsys, args):
+        path = write(tmp_path, "under.csv", self.UNDERFLOW_CSV)
+        assert main(["rank", path]) == 0  # the problem itself ranks
+        capsys.readouterr()
+        assert main([args[0], path, *args[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("SINGULAR_MATRIX") and "float range" in captured.err
+        assert len(captured.err.splitlines()) == 1

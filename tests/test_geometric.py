@@ -204,3 +204,20 @@ class TestSolve:
         ))
         with pytest.raises(NotConnectedError):
             solve_geometric(island, Partition(2, (3.0, 1.5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(max_n=12), st.sampled_from([math.e, 2.0, 10.0, 0.5]))
+def test_system_ranking_is_solve_geometric(instance, log_base):
+    # solve_geometric is the guard, then the builder, then .ranking.
+    matrix, partition, _ = instance
+    system = build_geometric_system(matrix, partition, log_base=log_base)
+    assert system.ranking(partition) == solve_geometric(matrix, partition, log_base=log_base)
+
+
+def test_guard_error_comes_before_a_bad_log_base():
+    degenerate = PCMatrix(((1, MISSING, MISSING), (MISSING, 1, 2), (MISSING, 0.5, 1)))
+    with pytest.raises(DegenerateRowError):
+        solve_geometric(degenerate, Partition(1, (2.0, 4.0)), log_base=1.0)
+    with pytest.raises(ValueError):
+        solve_geometric(*incomplete_3x3(), log_base=1.0)

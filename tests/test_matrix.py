@@ -376,6 +376,16 @@ class TestTypes:
         with pytest.raises(StructureError):
             Ranking((1.0, -1.0), k=1)
 
+    def test_normalization_at_the_ends_of_the_float_range(self):
+        # The sum overflows; scaling by a power of two is exact, so the result
+        # is bit for bit that of the same values scaled down beforehand.
+        big = Ranking((1.5e308, 1e308, 5e307), k=1)
+        scaled = Ranking(tuple(v / 2**10 for v in big.values), k=1)
+        assert big.normalized() == scaled.normalized()
+        assert sum(big.normalized().values) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(SingularMatrixError, match="float range"):
+            Ranking((1.0, 1e300, 1e-30), k=1).normalized()
+
     def test_diagnose_bundles_everything(self):
         m = PCMatrix(((1, 2, MISSING), (0.5, 1, 4), (MISSING, 0.25, 1)))
         report = diagnose(m, Partition(2, (1.0,)))
