@@ -11,8 +11,11 @@ constant-term vector.  The builder runs no guard: :func:`solve_arithmetic`
 is ``ensure_solvable``, then the builder, then :meth:`ArithmeticSystem.ranking`.
 
 Unlike the geometric variant the solution is not guaranteed positive: large
-inconsistency can push a component to zero or below, reported as
-:class:`~pcrank.errors.NonPositiveSolutionError`.
+inconsistency can push a component below zero, reported as
+:class:`~pcrank.errors.NonPositiveSolutionError`.  Writing the matrix as
+``I - B``, that happens exactly when the spectral radius of B exceeds 1 (at
+1 the matrix is singular): below 1, ``pcrank.linsolve`` certifies the matrix
+as an M-matrix, whose inverse is nonnegative.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveSolutionError
+from .errors import NonPositiveSolutionError, SingularMatrixError
 from .linsolve import solve
 from .matrix import DEFAULT_TOL, PCMatrix, Partition, Ranking, ensure_solvable
 
@@ -43,10 +46,19 @@ class ArithmeticSystem:
 
     def ranking(self, partition: Partition) -> Ranking:
         """Solve; raises ``SingularMatrixError`` when there is no unique
-        solution, ``NonPositiveSolutionError`` for a priority <= 0."""
+        solution or a priority underflows to 0, ``NonPositiveSolutionError``
+        for a negative priority.
+
+        A guarded system has nonnegative constants and every unknown reaches
+        a positive one, so an exact solution with no negative entry is
+        positive (and its matrix an M-matrix): a 0 beside no negative is an
+        underflow, not the method's failure.
+        """
         x = solve(self.coeff, self.constants)
-        if np.any(x <= 0.0):
+        if np.any(x < 0.0):
             raise NonPositiveSolutionError(x)
+        if not x.all():
+            raise SingularMatrixError("computed priorities leave the float range")
         return Ranking(tuple(float(v) for v in x) + partition.known, partition.k)
 
 

@@ -12,6 +12,7 @@ of scope here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,16 +51,20 @@ def evm(matrix: PCMatrix, max_iter: int = 10000, conv_tol: float = 1e-12) -> Bas
     Power iteration starting from the uniform vector; positive matrices make
     it converge geometrically, so no general eigensolver is needed.  Stops
     when successive sum-normalized iterates agree to ``conv_tol`` in
-    max-norm.  The spectral radius is estimated by the Rayleigh quotient;
-    for a reciprocal matrix it is >= n, with equality exactly on consistent
-    input (useful as a diagnostic).
+    max-norm, and raises :class:`NoConvergenceError` at the first iterate
+    whose sum leaves the float range.  The spectral radius is estimated by
+    the Rayleigh quotient; for a reciprocal matrix it is >= n, with equality
+    exactly on consistent input (useful as a diagnostic).
     """
     a = _as_array(matrix)
     n = a.shape[0]
     v = np.full(n, 1.0 / n)
     for iteration in range(1, max_iter + 1):
         y = a @ v
-        nxt = y / y.sum()
+        total = y.sum()
+        if not total < math.inf:
+            raise NoConvergenceError(f"power iteration left the float range at iteration {iteration}")
+        nxt = y / total
         delta = float(np.abs(nxt - v).max())
         v = nxt
         if delta < conv_tol:

@@ -85,8 +85,8 @@ class SingularMatrixError(PcrankError):
 
 
 class NonPositiveSolutionError(PcrankError):
-    """The arithmetic solver produced a zero or negative priority, which has
-    no ranking interpretation (inconsistency too large for the method)."""
+    """The arithmetic solver produced a negative priority, which has no
+    ranking interpretation (inconsistency too large for the method)."""
 
     code = "NON_POSITIVE_SOLUTION"
     exit_code = 3

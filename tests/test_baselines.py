@@ -92,6 +92,18 @@ class TestEvm:
         with pytest.raises(NoConvergenceError):
             evm(rows_to_matrix(rows), max_iter=1)
 
+    def test_overflow_stops_at_the_first_iterate(self):
+        # The first product a @ v sums past the float range.
+        big = 1.5e308
+        rows = [
+            [1.0 if (i < 3) == (j < 3) else big if i < 3 else 1 / big for j in range(6)]
+            for i in range(6)
+        ]
+        with np.errstate(all="ignore"), pytest.raises(
+            NoConvergenceError, match="left the float range at iteration 1$"
+        ):
+            evm(rows_to_matrix(rows))
+
 
 class TestGmm:
     def test_consistent_matrix(self):

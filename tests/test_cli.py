@@ -246,6 +246,17 @@ class TestErrorPaths:
         assert main(["rank", path, "--method", "arithmetic"]) == 3
         assert capsys.readouterr().err.startswith("SINGULAR_MATRIX")
 
+    @pytest.mark.parametrize("method", ["arithmetic", "geometric"])
+    def test_priority_underflow_is_a_solver_failure(self, tmp_path, capsys, method):
+        # w(a) = 1e-30 * 1e-300 is below the float range. The arithmetic
+        # system is certified, so its 0 is an underflow, not inconsistency.
+        text = "label,a,c\na,1,1e-30\nc,1e30,1\n\nlabel,priority\nc,1e-300\n"
+        path = write(tmp_path, "tiny.csv", text)
+        assert main(["rank", path, "--method", method]) == 3
+        assert capsys.readouterr().err == (
+            "SINGULAR_MATRIX: computed priorities leave the float range\n"
+        )
+
     def test_geometric_ranks_past_product_overflow(self, tmp_path, capsys):
         path = write(tmp_path, "huge.csv", HUGE_CSV)
         assert main(["rank", path, "--method", "geometric"]) == 0
