@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from helpers import check_report_rows, problem_texts, triad_deviations_loops
 from pcrank import PcrankError, diagnose, parse_problem
 from pcrank import cli
-from pcrank.cli import main
+from pcrank.cli import build_parser, main
 
 MICRO_CSV = """label,a,b,c
 a,1,2,4
@@ -620,6 +620,52 @@ def test_deterministic_output(tmp_path, capsys):
     first = capsys.readouterr().out
     main(["rank", path])
     assert capsys.readouterr().out == first
+
+
+def test_reused_parser_leaks_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    """``main`` builds its parser once per process; a call after others gives
+    exactly what the same call gives with a freshly built parser."""
+    micro = write(tmp_path, "micro.csv", MICRO_CSV)
+    full = write(tmp_path, "full.csv", CONSISTENT_CSV)
+    output = tmp_path / "ranked.csv"
+    calls = [
+        ["rank", micro, "--method", "arithmetic", "--tol", "0.25", "--normalize",
+         "--output", str(output)],
+        ["rank", micro],
+        ["rank", micro, "--tol", "nan"],
+        ["check", micro],
+        ["complete", micro, "--method", "geometric", "--number-style", "fraction"],
+        ["compare", full],
+        None,  # read from sys.argv
+    ]
+    monkeypatch.setattr(sys, "argv", ["pcrank", "rank", micro, "--method", "geometric"])
+
+    def run(argv):
+        output.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = output.read_bytes() if output.exists() else None
+        return code, captured.out, captured.err, written
+
+    cli._parser.cache_clear()
+    in_sequence = [run(argv) for argv in calls]
+    assert cli._parser() is cli._parser()
+    for argv, result in zip(calls, in_sequence):
+        cli._parser.cache_clear()
+        assert run(argv) == result, argv
+
+    codes = [code for code, *_ in in_sequence]
+    assert codes == [0, 0, 2, 0, 0, 0, 0]
+    assert in_sequence[0][1] == "" and in_sequence[0][3]  # --output, not stdout
+    _, out, err, written = in_sequence[1]  # plain rank: stdout, default method
+    assert written is None and err == ""
+    assert out.splitlines()[0] == "label,arithmetic,geometric"
+    assert "--tol" in in_sequence[2][2]
+    assert "triad deviations above tol 1e-09: 0" in in_sequence[3][1]  # default tol
+    assert build_parser() is not build_parser()
 
 
 # b and c are judged equal but fixed at 3 vs 2.5: a known-comparison warning.
