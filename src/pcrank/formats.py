@@ -13,9 +13,11 @@ the serializer.  Empty cells are an error rather than a missing value:
 silent emptiness hides data-entry mistakes, ``?`` states intent.
 
 A plain decimal CSV matrix is read by numpy's C reader in one call; every
-other matrix, and any grid that reader would read differently, goes cell by
-cell through :func:`parse_value`, with the same values, messages and line
-numbers.  CSV decimal output is formatted one ``%`` per row.
+other CSV matrix, and any grid that reader would read differently, goes
+through :func:`parse_value` once per distinct token, in row-major order, with
+the same values, messages and line numbers.  A JSON matrix keeps its finite
+float cells as they are and converts only the others.  CSV decimal output is
+formatted one ``%`` per row.
 """
 
 from __future__ import annotations
@@ -250,6 +252,17 @@ def _plain_grid(text: str) -> tuple[list[str], np.ndarray, str] | None:
     return labels, grid, lines[n + 1] if len(lines) > n + 1 else ""
 
 
+class _CellValues(dict):
+    """The value of each distinct cell token: :func:`parse_value` runs at a
+    token's first lookup, on the line set in ``line``, and never again."""
+
+    line: int | None = None
+
+    def __missing__(self, token: str) -> Entry:
+        value = self[token] = parse_value(token, self.line)
+        return value
+
+
 def _parse_matrix_block(rows: list[tuple[int, list[str]]]) -> tuple[list[str], np.ndarray]:
     header_line, header = rows[0]
     if len(header) < 2:
@@ -269,8 +282,13 @@ def _parse_matrix_block(rows: list[tuple[int, list[str]]]) -> tuple[list[str], n
                 f"row label {cells[0]!r} does not match header order (expected {labels[i]!r})",
                 line,
             )
-    grid = [[parse_value(token, line) for token in cells[1:]] for line, cells in data]
-    return labels, np.array(grid, dtype=float)  # None becomes NaN
+    # Row-major, so the first bad cell still raises first, with its line.
+    values = _CellValues()
+    cells_read: list[Entry] = []
+    for line, cells in data:
+        values.line = line
+        cells_read.extend(map(values.__getitem__, cells[1:]))
+    return labels, np.array(cells_read, dtype=float).reshape(n, n)  # None becomes NaN
 
 
 def _parse_csv_problem(text: str) -> tuple[list[str], np.ndarray, dict[str, float]]:
@@ -326,7 +344,13 @@ def _parse_json_problem(text: str) -> tuple[list[str], np.ndarray, dict[str, flo
     for i, raw in enumerate(grid):
         if not isinstance(raw, list) or len(raw) != len(labels):
             raise ParseError(f"matrix row {i} must be an array of {len(labels)} entries")
-        rows.append([_json_cell(cell, f"matrix[{i}][{j}]") for j, cell in enumerate(raw)])
+        # A finite float is kept as it is; only the other cells go through
+        # _json_cell, which rejects a bool although it equals a float.
+        rows.append([
+            cell if type(cell) is float and math.isfinite(cell)
+            else _json_cell(cell, f"matrix[{i}][{j}]")
+            for j, cell in enumerate(raw)
+        ])
     grid = np.array(rows, dtype=float).reshape(len(labels), len(labels))  # None becomes NaN
     known_obj = obj.get("known", {})
     if not isinstance(known_obj, dict):

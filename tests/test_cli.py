@@ -504,6 +504,41 @@ def test_check_listing_across_chunk_boundaries(offset, to_file, tmp_path, capsys
     assert out == expected
 
 
+@pytest.mark.parametrize("to_file", [False, True])
+def test_check_listing_labels_like_format_codes(to_file, tmp_path, capsys, monkeypatch):
+    """Labels are baked into the listing's format string: ones that read as
+    %-codes print verbatim, also with a piece boundary inside a run of rows
+    that share their first two labels."""
+    labels = ["%s", "%%", "100%", "%(x)s", "%.6g", "a,b"]
+    fields = [f'"{label}"' if "," in label else label for label in labels]
+    rng = np.random.default_rng(5)
+    n = len(labels)
+    rows = [["1"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            value = float(rng.uniform(0.2, 5.0))
+            rows[i][j], rows[j][i] = repr(value), repr(1.0 / value)
+    text = "label," + ",".join(fields) + "\n"
+    text += "".join(f"{fields[i]}," + ",".join(row) + "\n" for i, row in enumerate(rows))
+    text += "\nlabel,priority\n100%,1\n"
+    problem = parse_problem(text)
+    expected, code = check_report_rows(problem, 1e-9)
+    i, j, _, _ = diagnose(problem.matrix, tol=1e-9).triad_columns
+    chunk = 3  # the second piece starts within the first run
+    assert (i[chunk - 1], j[chunk - 1]) == (i[chunk], j[chunk])
+    monkeypatch.setattr(cli, "_LISTING_CHUNK", chunk)
+    argv = ["check", write(tmp_path, "labels.csv", text)]
+    if to_file:
+        argv += ["--output", str(tmp_path / "report.txt")]
+    assert main(argv) == code == 1
+    out = capsys.readouterr().out
+    if to_file:
+        assert out == ""
+        out = (tmp_path / "report.txt").read_text(encoding="utf-8")
+    assert out == expected
+    assert "  (%s, %%, " in out
+
+
 class TestByteOrderMark:
     """A leading UTF-8 byte-order mark is dropped from every input."""
 

@@ -248,6 +248,64 @@ def test_plain_grid_errors_keep_messages_and_lines(text, message):
     assert str(got.value) == message
 
 
+def _fraction_grid_csv(bad: str) -> str:
+    """A 6x6 ``p/q`` grid of a few repeated tokens, with ``bad`` in data row 3
+    (line 4) and again in data row 5 (line 6), there in an earlier column."""
+    n = 6
+    rows = [["1/2" if j > i else "2" if j < i else "1" for j in range(n)] for i in range(n)]
+    rows[2][4] = rows[4][1] = bad
+    labels = [f"x{i}" for i in range(n)]
+    body = "".join(f"{labels[i]}," + ",".join(row) + "\n" for i, row in enumerate(rows))
+    return "label," + ",".join(labels) + "\n" + body
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ("1/0", "line 4: fraction '1/0' must have positive numerator and denominator"),
+        ("x", "line 4: cannot parse value 'x'"),
+        ("", "line 4: empty cell (use '?' for a missing comparison)"),
+    ],
+)
+def test_cell_path_raises_at_the_first_bad_cell(bad, message):
+    """Each distinct token is converted once, in row-major order: the first
+    occurrence of a bad token raises, with its own line."""
+    with pytest.raises(ParseError) as got:
+        parse_problem(_fraction_grid_csv(bad))
+    assert (str(got.value), got.value.line) == (message, 4)
+
+
+@pytest.mark.parametrize(
+    "cell,got",
+    [
+        ("true", 'expected a number, a fraction string, or "?", got True'),
+        ("null", 'expected a number, a fraction string, or "?", got None'),
+        ("NaN", "value nan is not finite"),
+        ("Infinity", "value inf is not finite"),
+        ("1e400", "value inf is not finite"),
+        ("[1]", 'expected a number, a fraction string, or "?", got [1.0]'),
+        ("{}", 'expected a number, a fraction string, or "?", got {}'),
+    ],
+)
+def test_json_cell_after_float_rows(cell, got):
+    """Finite floats are taken as they are; any other cell is rejected as
+    before, ``true`` included although it equals 1.0."""
+    text = (
+        '{"alternatives": ["a", "b", "c"],'
+        ' "matrix": [[1, 2.5, 4.0], [0.4, 1.0, 2.0], [0.25, %s, 1]]}' % cell
+    )
+    with pytest.raises(ParseError) as error:
+        parse_problem(text, "json")
+    assert (str(error.value), error.value.line) == (f"matrix[2][1]: {got}", None)
+
+
+def test_json_bad_cell_wins_over_a_later_ragged_row():
+    text = '{"alternatives": ["a", "b", "c"], "matrix": [[1, 2, 4], [0.5, true, 1], [0.25, 1]]}'
+    with pytest.raises(ParseError) as got:
+        parse_problem(text, "json")
+    assert str(got.value) == 'matrix[1][1]: expected a number, a fraction string, or "?", got True'
+
+
 @pytest.mark.parametrize(
     "text",
     [
