@@ -15,9 +15,9 @@ silent emptiness hides data-entry mistakes, ``?`` states intent.
 A plain decimal CSV matrix is read by numpy's C reader in one call; every
 other CSV matrix, and any grid that reader would read differently, goes
 through :func:`parse_value` once per distinct token, in row-major order, with
-the same values, messages and line numbers.  A JSON matrix keeps its finite
-float cells as they are and converts only the others.  CSV decimal output is
-formatted one ``%`` per row.
+the same values, messages and line numbers; a JSON matrix converts each
+distinct string once.  Decimal output is formatted one ``%`` per row, and
+JSON output is laid out as ``json.dumps(..., indent=2)`` lays it out.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -325,6 +325,30 @@ def _json_cell(cell, where: str) -> Entry:
     raise ParseError(f"{where}: expected a number, a fraction string, or \"?\", got {cell!r}")
 
 
+def _json_grid(grid: list, n: int) -> np.ndarray:
+    """The matrix of the JSON rows ``grid``: finite numbers as they are, each
+    distinct string through :func:`parse_value` once.  Any other cell (a bool
+    too, although it equals a number) or row is left to the cell-by-cell
+    reading, which raises at the first bad row or cell."""
+    if all(type(row) is list and len(row) == n for row in grid):
+        strings = _CellValues()  # keyed by strings alone: True would hit 1.0
+        try:
+            cells = [cell if type(cell) is float else strings[cell] if type(cell) is str
+                     else math.inf for row in grid for cell in row]
+        except ParseError:
+            pass
+        else:
+            array = np.array(cells, dtype=float).reshape(n, n)  # None becomes NaN
+            if np.isfinite(array).sum() == n * n - cells.count(MISSING):
+                return array
+    rows: list[list[Entry]] = []
+    for i, raw in enumerate(grid):
+        if not isinstance(raw, list) or len(raw) != n:
+            raise ParseError(f"matrix row {i} must be an array of {n} entries")
+        rows.append([_json_cell(cell, f"matrix[{i}][{j}]") for j, cell in enumerate(raw)])
+    return np.array(rows, dtype=float).reshape(n, n)
+
+
 def _parse_json_problem(text: str) -> tuple[list[str], np.ndarray, dict[str, float]]:
     try:
         obj = json.loads(text, parse_int=float)  # a huge integer is inf, not an OverflowError
@@ -340,18 +364,7 @@ def _parse_json_problem(text: str) -> tuple[list[str], np.ndarray, dict[str, flo
     grid = obj.get("matrix")
     if not isinstance(grid, list) or len(grid) != len(labels):
         raise ParseError(f"'matrix' must be an array of {len(labels)} rows")
-    rows: list[list[Entry]] = []
-    for i, raw in enumerate(grid):
-        if not isinstance(raw, list) or len(raw) != len(labels):
-            raise ParseError(f"matrix row {i} must be an array of {len(labels)} entries")
-        # A finite float is kept as it is; only the other cells go through
-        # _json_cell, which rejects a bool although it equals a float.
-        rows.append([
-            cell if type(cell) is float and math.isfinite(cell)
-            else _json_cell(cell, f"matrix[{i}][{j}]")
-            for j, cell in enumerate(raw)
-        ])
-    grid = np.array(rows, dtype=float).reshape(len(labels), len(labels))  # None becomes NaN
+    grid = _json_grid(grid, len(labels))
     known_obj = obj.get("known", {})
     if not isinstance(known_obj, dict):
         raise ParseError("'known' must be an object mapping labels to priorities")
@@ -429,6 +442,37 @@ def parse_problem(
     return _canonicalize(labels, grid, known)
 
 
+def _json_cells(row: str, style: str = "decimal") -> list[str]:
+    """The JSON text of each cell of a CSV row in ``style``: ``?`` and each
+    fraction-style cell as a string, a ``%.12g`` token as ``json.dumps``
+    writes its float: the token if it holds ``.`` or ``e``, else the token
+    and ``.0``.  A row holding ``e+1`` (``repr`` writes e+12 to e+15 in
+    full), ``e-3`` (12 digits need not pin a subnormal), ``nan`` or ``inf``
+    goes through ``json.dumps`` token by token."""
+    tokens = row.split(",") if row else []
+    if style == "fraction":
+        return [f'"{token}"' for token in tokens]
+    if "e+1" in row or "e-3" in row or "n" in row:
+        return ['"?"' if token == "?" else json.dumps(float(token)) for token in tokens]
+    return [t if "." in t or "e" in t else '"?"' if t == "?" else t + ".0" for t in tokens]
+
+
+def _json_layout(members: list[str], depth: int, brackets: str = "{}") -> str:
+    """Encoded ``members`` (``"key": value`` for an object) laid out as
+    ``json.dumps(..., indent=2)`` lays out an object or array at ``depth``."""
+    if not members:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(members) + pad[:-2] + brackets[1]
+
+
+def _json_object(keys: Iterable[str], values: Iterable[str], depth: int) -> str:
+    """The object of ``keys`` and encoded ``values``; a repeated key keeps its
+    first place and its last value, as in a dict."""
+    items = dict(zip(keys, values)).items()
+    return _json_layout([f"{json.dumps(key)}: {value}" for key, value in items], depth)
+
+
 def serialize_ranking(
     labels: Sequence[str], values: Sequence[float], fmt: str = "csv"
 ) -> str:
@@ -446,8 +490,8 @@ def serialize_ranking(
             writer.writerow([label, f"{value:.12g}"])
         return out.getvalue()
     if fmt == "json":
-        obj = {label: float(f"{value:.12g}") for label, value in zip(labels, values)}
-        return json.dumps(obj, indent=2) + "\n"
+        cells = _json_cells(",".join([f"{value:.12g}" for value in values]))
+        return _json_object(labels, cells, 0) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -463,8 +507,8 @@ def serialize_table(
         csv.writer(out, lineterminator="\n").writerows(rows)
         return out.getvalue()
     if fmt == "json":
-        obj = {name: dict(zip(labels, map(float, col))) for name, col in cells.items()}
-        return json.dumps(obj, indent=2) + "\n"
+        tables = [_json_object(labels, _json_cells(",".join(col)), 1) for col in cells.values()]
+        return _json_object(cells, tables, 0) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -484,47 +528,39 @@ def serialize_problem(problem: Problem, fmt: str = "csv", number_style: str = "d
     array = problem.matrix.array[np.ix_(order, order)]
     grid = array.tolist()
     known = dict(problem.known)
-
+    known_labels = [label for label in labels if label in known]
+    known_cells = [format_value(known[label], number_style) for label in known_labels]
+    if number_style == "decimal":
+        # One %-format per row; only a row holding NaN has 'nan' to mark.
+        row_format = ",".join(["%.12g"] * len(labels))
+        rows = [row_format % tuple(row) for row in grid]
+        for i in np.flatnonzero(np.isnan(array).any(axis=1)).tolist():
+            rows[i] = rows[i].replace("nan", "?")
+    else:
+        rows = [
+            ",".join(["?" if math.isnan(v) else format_value(v, "fraction") for v in row])
+            for row in grid
+        ]
+    if fmt == "json":
+        matrix = [_json_layout(_json_cells(row, number_style), 2, "[]") for row in rows]
+        members = [
+            '"alternatives": ' + _json_layout(list(map(json.dumps, labels)), 1, "[]"),
+            '"matrix": ' + _json_layout(matrix, 1, "[]"),
+        ]
+        if known:
+            cells = _json_cells(",".join(known_cells), number_style)
+            members.append('"known": ' + _json_object(known_labels, cells, 1))
+        return _json_layout(members, 0) + "\n"
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["label", *labels])
-        if number_style == "decimal":
-            # One %-format per row; only a row holding NaN has 'nan' to mark.
-            row_format = ",".join(["%.12g"] * len(labels))
-            rows = [row_format % tuple(row) for row in grid]
-            for i in np.flatnonzero(np.isnan(array).any(axis=1)).tolist():
-                rows[i] = rows[i].replace("nan", "?")
-        else:
-            rows = [
-                ",".join(["?" if math.isnan(v) else format_value(v, "fraction") for v in row])
-                for row in grid
-            ]
         for label, row in zip(labels, rows):
             # Numbers and '?' never need quoting; only the label may.
             out.write(_csv_field(label) + "," + row + "\n")
         if known:
             writer.writerow([])
             writer.writerow(["label", "priority"])
-            for label in labels:
-                if label in known:
-                    writer.writerow([label, format_value(known[label], number_style)])
+            writer.writerows(zip(known_labels, known_cells))
         return out.getvalue()
-    if fmt == "json":
-        def json_cell(value: float):
-            if math.isnan(value):
-                return "?"
-            if number_style == "fraction":
-                return format_value(value, "fraction")
-            return float(f"{value:.12g}")
-
-        obj = {
-            "alternatives": list(labels),
-            "matrix": [[json_cell(value) for value in row] for row in grid],
-        }
-        if known:
-            obj["known"] = {
-                label: float(f"{known[label]:.12g}") for label in labels if label in known
-            }
-        return json.dumps(obj, indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

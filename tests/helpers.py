@@ -5,10 +5,11 @@ construction, breadth-first reachability, direct evaluation of the averaging
 and product identities) rather than through the library's own machinery, so
 tests cross-check the implementation instead of echoing it.
 
-The ``*_loops`` functions, :func:`eliminate`, :func:`parse_problem_cells`
-and :func:`serialize_problem_cells` keep the cell-by-cell Python versions of
-the systems, the solver, the triad scan, parsing and serializing that the
-library now computes with array operations; tests require the two to agree.
+The ``*_loops`` functions, :func:`eliminate`, :func:`parse_problem_cells`,
+:func:`json_grid_cells` and :func:`serialize_problem_cells` keep the
+cell-by-cell Python versions of the systems, the solver, the triad scan,
+parsing and serializing that the library now computes with array
+operations; tests require the two to agree.
 """
 
 from __future__ import annotations
@@ -273,9 +274,20 @@ def check_report_rows(problem: Problem, tol: float) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0 if clean else 1
 
 
+def json_grid_cells(grid, n: int) -> Rows:
+    """Reference read of a JSON matrix: row by row, each row's shape checked
+    before its cells, and every cell through ``_json_cell`` with its place."""
+    rows = []
+    for i, row in enumerate(grid):
+        if not isinstance(row, list) or len(row) != n:
+            raise formats.ParseError(f"matrix row {i} must be an array of {n} entries")
+        rows.append([formats._json_cell(cell, f"matrix[{i}][{j}]") for j, cell in enumerate(row)])
+    return rows
+
+
 def parse_problem_cells(text: str, fmt: str = "csv", force_reciprocal: bool = False) -> Problem:
     """Reference parse of a valid problem: every cell through ``parse_value``
-    (or ``_json_cell``), the reciprocal rebuilt pair by pair, and the
+    (or :func:`json_grid_cells`), the reciprocal rebuilt pair by pair, and the
     canonical permutation taken as tuples of cells."""
     if fmt == "csv":
         blocks = formats._split_blocks(formats._csv_rows(text))
@@ -288,7 +300,7 @@ def parse_problem_cells(text: str, fmt: str = "csv", force_reciprocal: bool = Fa
     else:
         obj = json.loads(text)
         labels = obj["alternatives"]
-        rows = [[formats._json_cell(cell, "") for cell in row] for row in obj["matrix"]]
+        rows = json_grid_cells(obj["matrix"], len(labels))
         known = {label: formats._json_cell(raw, "") for label, raw in obj.get("known", {}).items()}
     if force_reciprocal:
         for i in range(len(rows)):
@@ -339,8 +351,7 @@ def serialize_problem_cells(problem: Problem, fmt: str = "csv", number_style: st
                     writer.writerow([label, format_value(known[label], number_style)])
         return out.getvalue()
 
-    def json_cell(a: str, b: str):
-        value = cell(a, b)
+    def json_value(value):
         if value is MISSING:
             return "?"
         if number_style == "fraction":
@@ -349,10 +360,10 @@ def serialize_problem_cells(problem: Problem, fmt: str = "csv", number_style: st
 
     obj = {
         "alternatives": list(labels),
-        "matrix": [[json_cell(a, b) for b in labels] for a in labels],
+        "matrix": [[json_value(cell(a, b)) for b in labels] for a in labels],
     }
     if known:
-        obj["known"] = {label: float(f"{known[label]:.12g}") for label in labels if label in known}
+        obj["known"] = {label: json_value(known[label]) for label in labels if label in known}
     return json.dumps(obj, indent=2) + "\n"
 
 

@@ -623,6 +623,25 @@ class TestComplete:
         assert obj["matrix"][1][2] == pytest.approx(2.0, rel=1e-11)
         assert obj["known"] == {"c": 1.0}
 
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_fraction_style_keeps_known_priorities_exact(self, tmp_path, capsys, suffix):
+        """A known 1/3 comes back as 1/3, not as 12 digits, so b = 3 * 1/3 = 1."""
+        source = {
+            "csv": "label,a,b,c\na,1,1/3,1/6\nb,3,1,?\nc,6,?,1\n\nlabel,priority\na,1/3\n",
+            "json": '{"alternatives": ["a", "b", "c"], "known": {"a": "1/3"},'
+            ' "matrix": [[1, "1/3", "1/6"], [3, 1, "?"], [6, "?", 1]]}',
+        }[suffix]
+        path = write(tmp_path, f"third.{suffix}", source)
+        completed = tmp_path / f"completed.{suffix}"
+        args = ["--method", "geometric", "--number-style", "fraction", "--output", str(completed)]
+        assert main(["complete", path, *args]) == 0
+        assert parse_problem(completed.read_text(), suffix).known == (("a", 1 / 3),)
+        for method in ("arithmetic", "geometric"):
+            assert main(["rank", str(completed), "--method", method]) == 0
+            out = capsys.readouterr().out
+            values = json.loads(out) if suffix == "json" else ranking_csv_to_dict(out)
+            assert values["b"] == 1.0
+
 
 class TestCompare:
     def test_complete_consistent_shows_all_methods(self, tmp_path, capsys):

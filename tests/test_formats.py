@@ -20,9 +20,11 @@ from pcrank import (
     serialize_problem,
     serialize_ranking,
 )
+from pcrank.formats import serialize_table
 
 from helpers import (
     ODD_TOKENS,
+    json_grid_cells,
     parse_problem_cells,
     problem_texts,
     ratio_rows,
@@ -375,6 +377,111 @@ def test_serialize_matches_cell_reference(case):
             assert serialize_problem(problem, out_fmt, style) == serialize_problem_cells(
                 problem, out_fmt, style
             )
+
+
+# Where repr switches between positional and exponent notation, where %.12g
+# rounds up to the next power of ten, and subnormals, where 12 digits do not
+# pin one double.
+NOTATION_BOUNDARIES = [
+    1e11, 999999999999.5, 1e12, 1e15, 1e16, 2.0**53, 1e-5, 2.2250738585072014e-308, 5e-324,
+]
+WRITER_LABELS = ["NaN", "?", '"', "\\", "é"]
+SOME_MISSING = [False, True] * 7 + [True]  # every other pair missing, three knowns
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False), min_size=25, max_size=25
+    ),
+    st.lists(st.booleans(), min_size=15, max_size=15),
+)
+@example(NOTATION_BOUNDARIES * 2 + NOTATION_BOUNDARIES[:7], [False] * 15)
+@example([1e11] * 25, SOME_MISSING)  # one value throughout: no other cell picks the path
+@example([999999999999.5] * 25, SOME_MISSING)
+@example([1e12] * 25, SOME_MISSING)
+@example([1e15] * 25, SOME_MISSING)
+@example([1e16] * 25, SOME_MISSING)
+@example([2.0**53] * 25, SOME_MISSING)
+@example([1e-5] * 25, SOME_MISSING)
+@example([2.2250738585072014e-308] * 25, SOME_MISSING)
+@example([5e-324] * 25, SOME_MISSING)
+def test_json_writer_at_notation_boundaries(values, flags):
+    """The three JSON writers against ``json.dumps(..., indent=2)``: any
+    positive finite number, with a missing pair and a known priority drawn
+    for each flag; the labels need escaping or read like ``nan`` and ``?``."""
+    n = len(WRITER_LABELS)
+    grid = np.ones((n, n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), missing, upper, lower in zip(pairs, flags, values[0::2], values[1::2]):
+        grid[i, j], grid[j, i] = (math.nan, math.nan) if missing else (upper, lower)
+    known = {label: v for label, v, on in zip(WRITER_LABELS, values[20:], flags[10:]) if on}
+    problem = formats._canonicalize(list(WRITER_LABELS), grid, known)
+    for style in ("decimal", "fraction"):
+        assert serialize_problem(problem, "json", style) == serialize_problem_cells(
+            problem, "json", style
+        )
+
+    def reference(column):
+        return {label: float(f"{v:.12g}") for label, v in zip(WRITER_LABELS, column)}
+
+    columns = {"arithmetic": values[:n], "NaN": values[n : 2 * n], '"\\é': values[-n:]}
+    assert serialize_ranking(WRITER_LABELS, values[:n], "json") == (
+        json.dumps(reference(values[:n]), indent=2) + "\n"
+    )
+    assert serialize_table(WRITER_LABELS, columns, "json") == (
+        json.dumps({name: reference(col) for name, col in columns.items()}, indent=2) + "\n"
+    )
+
+
+VALID_JSON_CELLS = st.one_of(
+    st.floats(1e-3, 1e3),
+    st.integers(1, 9),
+    st.sampled_from(["?", " ? "]),
+    st.builds(lambda p, q: f" {p} / {q} ", st.integers(1, 9), st.integers(1, 9)),
+    st.builds("{:.6g}".format, st.floats(1e-3, 1e3)),
+)
+ODD_JSON_CELLS = st.one_of(
+    st.floats(),  # NaN, infinities, zeros and negatives among them
+    st.booleans(),
+    st.none(),
+    st.lists(st.floats(1, 2), max_size=2),
+    st.just({}),
+    st.sampled_from(["", "x", "nan", "1e400", "1/0", "-1/2", "?1", "1_0"]),
+)
+
+
+@st.composite
+def json_grids(draw):
+    """(n, rows) of a JSON matrix: valid cells with now and then up to three
+    odd ones and one row that is ragged or not an array."""
+    n = draw(st.integers(1, 5))
+    rows = [draw(st.lists(VALID_JSON_CELLS, min_size=n, max_size=n)) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(ODD_JSON_CELLS)
+    if draw(st.integers(0, 3)) == 0:
+        ragged = st.lists(VALID_JSON_CELLS, max_size=n + 1).filter(lambda row: len(row) != n)
+        rows[draw(st.integers(0, n - 1))] = draw(st.one_of(ragged, VALID_JSON_CELLS))
+    return n, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_grids())
+@example((2, [[1.0, True], [1.0, 1.0]]))  # True == 1.0, so no memo may hold floats
+@example((2, [[1.0, "1/2"], ["2", 1.0]]))
+@example((2, [[1.0, math.nan], [1.0, 1.0]]))
+@example((2, [[1.0, "?"], [math.inf, 1.0]]))
+def test_json_reader_matches_cell_reference(case):
+    n, rows = case
+    text = json.dumps({"alternatives": [f"x{i}" for i in range(n)], "matrix": rows})
+    got = _outcome(lambda: formats._parse_json_problem(text)[1])
+    reference = _outcome(
+        lambda: np.array(json_grid_cells(json.loads(text, parse_int=float)["matrix"], n), dtype=float)
+    )
+    if isinstance(reference, tuple):
+        assert isinstance(got, tuple) and got == reference
+    else:
+        assert np.array_equal(got, reference.reshape(n, n), equal_nan=True)
 
 
 @settings(max_examples=400, deadline=None)
