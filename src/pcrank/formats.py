@@ -325,30 +325,6 @@ def _json_cell(cell, where: str) -> Entry:
     raise ParseError(f"{where}: expected a number, a fraction string, or \"?\", got {cell!r}")
 
 
-def _json_grid(grid: list, n: int) -> np.ndarray:
-    """The matrix of the JSON rows ``grid``: finite numbers as they are, each
-    distinct string through :func:`parse_value` once.  Any other cell (a bool
-    too, although it equals a number) or row is left to the cell-by-cell
-    reading, which raises at the first bad row or cell."""
-    if all(type(row) is list and len(row) == n for row in grid):
-        strings = _CellValues()  # keyed by strings alone: True would hit 1.0
-        try:
-            cells = [cell if type(cell) is float else strings[cell] if type(cell) is str
-                     else math.inf for row in grid for cell in row]
-        except ParseError:
-            pass
-        else:
-            array = np.array(cells, dtype=float).reshape(n, n)  # None becomes NaN
-            if np.isfinite(array).sum() == n * n - cells.count(MISSING):
-                return array
-    rows: list[list[Entry]] = []
-    for i, raw in enumerate(grid):
-        if not isinstance(raw, list) or len(raw) != n:
-            raise ParseError(f"matrix row {i} must be an array of {n} entries")
-        rows.append([_json_cell(cell, f"matrix[{i}][{j}]") for j, cell in enumerate(raw)])
-    return np.array(rows, dtype=float).reshape(n, n)
-
-
 def _parse_json_problem(text: str) -> tuple[list[str], np.ndarray, dict[str, float]]:
     try:
         obj = json.loads(text, parse_int=float)  # a huge integer is inf, not an OverflowError
@@ -364,7 +340,21 @@ def _parse_json_problem(text: str) -> tuple[list[str], np.ndarray, dict[str, flo
     grid = obj.get("matrix")
     if not isinstance(grid, list) or len(grid) != len(labels):
         raise ParseError(f"'matrix' must be an array of {len(labels)} rows")
-    grid = _json_grid(grid, len(labels))
+    strings = _CellValues()  # keyed by strings alone: True would hit 1.0
+    rows: list[list[Entry]] = []
+    for i, raw in enumerate(grid):
+        if not isinstance(raw, list) or len(raw) != len(labels):
+            raise ParseError(f"matrix row {i} must be an array of {len(labels)} entries")
+        # A finite float is kept as it is and each distinct string parsed once;
+        # only the other cells go through _json_cell, which rejects a bool
+        # although it equals a float.
+        rows.append([
+            cell if type(cell) is float and math.isfinite(cell)
+            else strings[cell] if type(cell) is str
+            else _json_cell(cell, f"matrix[{i}][{j}]")
+            for j, cell in enumerate(raw)
+        ])
+    grid = np.array(rows, dtype=float).reshape(len(labels), len(labels))  # None becomes NaN
     known_obj = obj.get("known", {})
     if not isinstance(known_obj, dict):
         raise ParseError("'known' must be an object mapping labels to priorities")
