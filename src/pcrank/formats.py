@@ -70,14 +70,6 @@ class Problem:
     def partition(self) -> Partition:
         """The solver-facing partition; raises when the file fixes either no
         priorities or all of them."""
-        if not self.known:
-            raise StructureError(
-                "no known priorities declared; ranking needs at least one fixed alternative"
-            )
-        if self.k == 0:
-            raise StructureError(
-                "every alternative already has a known priority; nothing to compute"
-            )
         return Partition(self.k, tuple(value for _, value in self.known))
 
     @property
@@ -294,40 +286,45 @@ def _parse_matrix_block(rows: list[tuple[int, list[str]]]) -> tuple[list[str], n
 def _parse_csv_problem(text: str) -> tuple[list[str], np.ndarray, dict[str, float]]:
     text = _lf_lines(text)
     plain = _plain_grid(text)
-    if plain is not None:
+    if plain is None:
+        blocks = _split_blocks(_csv_rows(text))
+    else:
         labels, grid, rest = plain
         # The rest starts on the line after the header, the n rows and the blank.
-        blocks = _split_blocks(_csv_rows(rest, len(labels) + 3))
-        if len(blocks) > 1:
-            raise ParseError("expected at most two blocks: the matrix and the known priorities")
-        known = _parse_known_block(blocks[0]) if blocks else {}
-        return labels, grid, known
-    blocks = _split_blocks(_csv_rows(text))
+        blocks = [[], *_split_blocks(_csv_rows(rest, len(labels) + 3))]
     if not blocks:
         raise ParseError("empty input")
     if len(blocks) > 2:
         raise ParseError("expected at most two blocks: the matrix and the known priorities")
-    labels, grid = _parse_matrix_block(blocks[0])
+    if plain is None:
+        labels, grid = _parse_matrix_block(blocks[0])
     known = _parse_known_block(blocks[1]) if len(blocks) == 2 else {}
     return labels, grid, known
 
 
 def _json_cell(cell, where: str) -> Entry:
-    if isinstance(cell, bool) or cell is None:
-        raise ParseError(f"{where}: expected a number, a fraction string, or \"?\", got {cell!r}")
-    if isinstance(cell, (int, float)):
+    if isinstance(cell, str):
+        return parse_value(cell)
+    if isinstance(cell, (int, float)) and not isinstance(cell, bool):
         value = float(cell)
         if not math.isfinite(value):
             raise ParseError(f"{where}: value {cell!r} is not finite")
         return value
-    if isinstance(cell, str):
-        return parse_value(cell)
     raise ParseError(f"{where}: expected a number, a fraction string, or \"?\", got {cell!r}")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"repeated key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
 def _parse_json_problem(text: str) -> tuple[list[str], np.ndarray, dict[str, float]]:
-    try:
-        obj = json.loads(text, parse_int=float)  # a huge integer is inf, not an OverflowError
+    try:  # a huge integer is inf, not an OverflowError; a repeated key is an error
+        obj = json.loads(text, parse_int=float, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
     except RecursionError:
@@ -463,6 +460,13 @@ def _json_object(keys: Iterable[str], values: Iterable[str], depth: int) -> str:
     return _json_layout([f"{json.dumps(key)}: {value}" for key, value in items], depth)
 
 
+def _csv_text(rows: Iterable[Sequence[str]]) -> str:
+    """``rows`` as the csv writer writes them, with LF line ends."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def serialize_ranking(
     labels: Sequence[str], values: Sequence[float], fmt: str = "csv"
 ) -> str:
@@ -474,11 +478,7 @@ def serialize_ranking(
     if len(labels) != len(values):
         raise StructureError(f"{len(labels)} labels but {len(values)} values")
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        for label, value in zip(labels, values):
-            writer.writerow([label, f"{value:.12g}"])
-        return out.getvalue()
+        return _csv_text([(label, f"{value:.12g}") for label, value in zip(labels, values)])
     if fmt == "json":
         cells = _json_cells(",".join([f"{value:.12g}" for value in values]))
         return _json_object(labels, cells, 0) + "\n"
@@ -492,21 +492,11 @@ def serialize_table(
     ``label,<name>,...`` CSV table, or JSON ``{name: {label: value}}``."""
     cells = {name: [f"{value:.12g}" for value in values] for name, values in columns.items()}
     if fmt == "csv":
-        out = io.StringIO()
-        rows = [("label", *cells), *zip(labels, *cells.values())]
-        csv.writer(out, lineterminator="\n").writerows(rows)
-        return out.getvalue()
+        return _csv_text([("label", *cells), *zip(labels, *cells.values())])
     if fmt == "json":
         tables = [_json_object(labels, _json_cells(",".join(col)), 1) for col in cells.values()]
         return _json_object(cells, tables, 0) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as the csv writer renders it inside a row."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow([text, ""])
-    return out.getvalue()[:-2]
 
 
 def serialize_problem(problem: Problem, fmt: str = "csv", number_style: str = "decimal") -> str:
@@ -542,15 +532,9 @@ def serialize_problem(problem: Problem, fmt: str = "csv", number_style: str = "d
             members.append('"known": ' + _json_object(known_labels, cells, 1))
         return _json_layout(members, 0) + "\n"
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["label", *labels])
-        for label, row in zip(labels, rows):
-            # Numbers and '?' never need quoting; only the label may.
-            out.write(_csv_field(label) + "," + row + "\n")
-        if known:
-            writer.writerow([])
-            writer.writerow(["label", "priority"])
-            writer.writerows(zip(known_labels, known_cells))
-        return out.getvalue()
+        # Numbers and '?' never need quoting; only the label may, as in a row.
+        fields = [_csv_text([(label, "")])[:-2] for label in labels]
+        body = "".join([f"{field},{row}\n" for field, row in zip(fields, rows)])
+        tail = [(), ("label", "priority"), *zip(known_labels, known_cells)] if known else []
+        return _csv_text([("label", *labels)]) + body + _csv_text(tail)
     raise ValueError(f"unknown format {fmt!r}")

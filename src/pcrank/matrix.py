@@ -25,7 +25,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -143,6 +143,15 @@ class PCMatrix:
         return [(i, j) for i, j in np.argwhere(np.triu(~self.mask)).tolist()]
 
 
+def _positive_finite(values: Iterable[float], noun: str) -> tuple[float, ...]:
+    """``values`` as floats, each positive and finite, or a StructureError."""
+    values = tuple(float(v) for v in values)
+    for idx, v in enumerate(values):
+        if not math.isfinite(v) or v <= 0.0:
+            raise StructureError(f"{noun} #{idx} must be positive and finite, got {v!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class Partition:
     """Split of ``n = k + len(known)`` alternatives: the first ``k`` have
@@ -152,20 +161,21 @@ class Partition:
     known: tuple[float, ...]
 
     def __post_init__(self):
+        known = _positive_finite(self.known, "known priority")
+        if not known:
+            raise StructureError(
+                "no known priorities declared; ranking needs at least one fixed alternative"
+            )
         try:
             k = operator.index(self.k)
         except TypeError:
             k = 0
         if k < 1:
-            raise StructureError(f"need at least one unknown alternative, got k={self.k}")
+            raise StructureError(
+                "every alternative already has a known priority; nothing to compute"
+            )
         object.__setattr__(self, "k", k)
-        values = tuple(float(v) for v in self.known)
-        if not values:
-            raise StructureError("need at least one known alternative")
-        for idx, v in enumerate(values):
-            if not math.isfinite(v) or v <= 0.0:
-                raise StructureError(f"known priority #{idx} must be positive and finite, got {v!r}")
-        object.__setattr__(self, "known", values)
+        object.__setattr__(self, "known", known)
 
     @property
     def n(self) -> int:
@@ -181,10 +191,7 @@ class Ranking:
     k: int
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        for idx, v in enumerate(values):
-            if not math.isfinite(v) or v <= 0.0:
-                raise StructureError(f"ranking value #{idx} must be positive and finite, got {v!r}")
+        values = _positive_finite(self.values, "ranking value")
         if not 0 <= self.k <= len(values):
             raise StructureError(f"k={self.k} out of range for {len(values)} values")
         object.__setattr__(self, "values", values)
@@ -357,24 +364,21 @@ def diagnose(
 
 @np.errstate(over="ignore")  # overflow gives inf, as in Python floats
 def ensure_solvable(matrix: PCMatrix, partition: Partition, tol: float = DEFAULT_TOL) -> None:
-    """Guard pipeline that both builders rely on, cheapest and most
-    informative failures first: reciprocity, degenerate rows, connectivity.
+    """Guard pipeline that both builders rely on: the partition size, then the
+    most informative failures first: reciprocity, degenerate rows, connectivity.
 
     Comparisons among known alternatives never enter the systems; if any
     disagree with the fixed priorities a :class:`KnownComparisonWarning` is
     emitted, because that usually flags a data-entry mistake.
     """
-    n = matrix.n
-    if partition.n != n:
-        raise StructureError(f"partition describes {partition.n} alternatives, matrix has {n}")
+    ok, isolated = check_connectivity(matrix, partition)  # raises on a wrong size
     violations = validate_reciprocity(matrix, tol)
     if violations:
         raise ReciprocityError(violations)
     counts = undefined_counts(matrix)
-    degenerate = [i for i in range(partition.k) if n - counts[i] - 1 == 0]
+    degenerate = [i for i in range(partition.k) if matrix.n - counts[i] - 1 == 0]
     if degenerate:
         raise DegenerateRowError(degenerate)
-    ok, isolated = check_connectivity(matrix, partition)
     if not ok:
         raise NotConnectedError(isolated)
 
@@ -401,13 +405,9 @@ def fill_missing(matrix: PCMatrix, values: Sequence[float]) -> PCMatrix:
     the filled matrix reproduces the ranking.  A ratio that overflows raises
     :class:`SingularMatrixError` (one that underflows to 0 has such a mirror).
     """
-    n = matrix.n
-    vals = [float(v) for v in values]
-    if len(vals) != n:
-        raise StructureError(f"expected {n} values, got {len(vals)}")
-    for idx, v in enumerate(vals):
-        if not math.isfinite(v) or v <= 0.0:
-            raise StructureError(f"fill value #{idx} must be positive and finite, got {v!r}")
+    if len(values) != matrix.n:
+        raise StructureError(f"expected {matrix.n} values, got {len(values)}")
+    vals = _positive_finite(values, "fill value")
     filled = np.where(matrix.mask, matrix.array, np.divide.outer(vals, vals))
     if not np.isfinite(filled).all():
         raise SingularMatrixError("a fill ratio values[i]/values[j] leaves the float range")

@@ -301,6 +301,46 @@ class TestErrorPaths:
         assert len(captured.err.strip().splitlines()) == 1
 
 
+NO_KNOWN = "PARSE_ERROR: no known priorities declared; ranking needs at least one fixed alternative\n"
+ALL_KNOWN = "PARSE_ERROR: every alternative already has a known priority; nothing to compute\n"
+
+
+@pytest.mark.parametrize(
+    "name,text,err",
+    [
+        pytest.param("nok.csv", "label,a,b\na,1,4\nb,1/4,1\n", NO_KNOWN, id="no-known-csv"),
+        pytest.param(
+            "nok.json", '{"alternatives": ["a", "b"], "matrix": [[1, 4], [0.25, 1]]}', NO_KNOWN,
+            id="no-known-json",
+        ),
+        pytest.param(
+            "allk.csv", "label,a,b\na,1,4\nb,1/4,1\n\nlabel,priority\na,4\nb,1\n", ALL_KNOWN,
+            id="all-known-csv",
+        ),
+        pytest.param(
+            "allk.json",
+            '{"alternatives": ["a", "b"], "matrix": [[1, 4], [0.25, 1]], "known": {"a": 4, "b": 1}}',
+            ALL_KNOWN, id="all-known-json",
+        ),
+        pytest.param("none.json", '{"alternatives": [], "matrix": []}', NO_KNOWN, id="empty-json"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command", [["rank"], ["complete", "--method", "geometric"], ["compare"]], ids=lambda c: c[0]
+)
+def test_unusable_partition_stderr(tmp_path, capsys, name, text, err, command):
+    path = write(tmp_path, name, text)
+    assert main([command[0], path, *command[1:]]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_json_repeated_key_is_a_parse_error(tmp_path, capsys):
+    text = '{"alternatives": ["a", "b"], "matrix": [[1, 2], [0.5, 1]], "known": {"b": 1, "b": 5}}'
+    path = write(tmp_path, "dup.json", text)
+    assert main(["rank", path, "--method", "geometric"]) == 2
+    assert capsys.readouterr() == ("", "PARSE_ERROR: repeated key 'b' in a JSON object\n")
+
+
 class TestUnreadableInput:
     """Input that cannot be read as text or as numbers fails as
     ``PARSE_ERROR`` (exit 2), never as a traceback (exit 1, the code that
@@ -424,7 +464,7 @@ class TestTolerance:
     """``--tol`` is a usage error (exit 2) unless it is a number >= 0."""
 
     @pytest.mark.parametrize("command", ["check", "rank"])
-    @pytest.mark.parametrize("value", ["nan", "-1"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "abc"])
     def test_nonsensical_tolerance_is_rejected(self, tmp_path, capsys, command, value):
         path = write(tmp_path, "micro.csv", MICRO_CSV)
         with pytest.raises(SystemExit) as exc:

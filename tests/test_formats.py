@@ -688,3 +688,97 @@ class TestSerialize:
         assert problem.file_order == [0, 2, 1]
         values = (4.0, 1.0, 2.0)
         assert [values[i] for i in problem.file_order] == [4.0, 2.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        pytest.param(
+            '{"alternatives": ["a", "b"], "matrix": [[1, 2], [0.5, 1]], "known": {"b": 1, "b": 5}}',
+            "b", id="known",
+        ),
+        pytest.param(
+            '{"alternatives": ["a", "b"], "matrix": [[1]], "matrix": [[1, 2], [0.5, 1]]}',
+            "matrix", id="matrix",
+        ),
+        pytest.param(
+            '{"alternatives": ["x"], "alternatives": ["a", "b"], "matrix": [[1, 2], [0.5, 1]]}',
+            "alternatives", id="alternatives",
+        ),
+        pytest.param('{"alternatives": ["a"], "matrix": [[{"x": 1, "x": 1}]]}', "x", id="cell"),
+    ],
+)
+def test_json_repeated_key_is_a_parse_error(text, key):
+    with pytest.raises(ParseError) as got:
+        parse_problem(text, "json")
+    assert str(got.value) == f"repeated key {key!r} in a JSON object"
+
+
+@pytest.mark.parametrize(
+    "body,plain",
+    [
+        pytest.param("a,1,2\nb,0.5,1\n\nb,1\n\na,1\n", True, id="plain"),
+        pytest.param("a,1,2\nb,1/2,1\n\nb,1\n\na,1\n", False, id="cells"),
+        pytest.param("a,1,x\nb,1/2,1\n\nb,1\n\na,1\n", False, id="cells-bad-cell"),
+        pytest.param("a,1,2\nb,0.5,1\n\nb,-1\n\na,1\n", True, id="plain-bad-known"),
+    ],
+)
+def test_three_blocks_on_both_grid_readers(body, plain):
+    """The block count is checked once, before any cell or known priority."""
+    text = "label,a,b\n" + body
+    assert (formats._plain_grid(text) is not None) == plain
+    with pytest.raises(ParseError) as got:
+        parse_problem(text)
+    assert str(got.value) == "expected at most two blocks: the matrix and the known priorities"
+
+
+@pytest.mark.parametrize(
+    "text,fmt,error,message",
+    [
+        pytest.param(
+            "label,a,b\na,1,2\nb,0.5,1\n\n,1\n", "csv",
+            ParseError, "line 5: empty label in known-priority row", id="empty-known-label",
+        ),
+        pytest.param(
+            "[1, 2]", "json", ParseError, "top-level JSON value must be an object", id="top-level"
+        ),
+        pytest.param(
+            '{"alternatives": ["a", "b"], "matrix": [[1, 2]]}', "json",
+            ParseError, "'matrix' must be an array of 2 rows", id="matrix-rows",
+        ),
+        pytest.param(
+            '{"alternatives": ["a", "b"], "matrix": [[1, 2], [0.5, 1]], "known": [1]}', "json",
+            ParseError, "'known' must be an object mapping labels to priorities", id="known-object",
+        ),
+        pytest.param(
+            '{"alternatives": ["", "b"], "matrix": [[1, 2], [0.5, 1]]}', "json",
+            StructureError, "alternative labels must be nonempty", id="empty-label",
+        ),
+    ],
+)
+def test_input_error_messages(text, fmt, error, message):
+    with pytest.raises(error) as got:
+        parse_problem(text, fmt)
+    assert str(got.value) == message
+
+
+def test_parse_known_blank_and_two_blocks():
+    assert parse_known("") == {} and parse_known("\n,\n") == {}
+    with pytest.raises(ParseError) as got:
+        parse_known("a,1\n\nb,2\n")
+    assert str(got.value) == "known-priorities file must be a single block of rows"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: parse_problem(CSV_3, "xml"), id="parse_problem"),
+        pytest.param(lambda: serialize_ranking(("a",), (1.0,), "xml"), id="serialize_ranking"),
+        pytest.param(lambda: serialize_table(("a",), {"m": (1.0,)}, "xml"), id="serialize_table"),
+        pytest.param(lambda: serialize_problem(parse_problem(CSV_3), "xml"), id="serialize_problem"),
+    ],
+)
+def test_unknown_format_is_a_value_error(call):
+    with pytest.raises(ValueError) as got:
+        call()
+    assert str(got.value) == "unknown format 'xml'"

@@ -409,3 +409,70 @@ class TestTypes:
         report = diagnose(m)
         assert report.connectivity_ok is None
         assert report.clean
+
+
+NO_KNOWN = "no known priorities declared; ranking needs at least one fixed alternative"
+NO_UNKNOWN = "every alternative already has a known priority; nothing to compute"
+
+
+class TestInputRuleMessages:
+    """Each input rule is checked in one place; these pin its message and
+    where it ranks among the other checks."""
+
+    @pytest.mark.parametrize(
+        "k,known,message",
+        [
+            pytest.param(0, (), NO_KNOWN, id="no-known-before-k"),
+            pytest.param(2, (), NO_KNOWN, id="no-known"),
+            pytest.param(0, (1.0,), NO_UNKNOWN, id="no-unknown"),
+            pytest.param(2.0, (1.0,), NO_UNKNOWN, id="float-k"),
+            pytest.param(
+                0, (1.0, -1.0), "known priority #1 must be positive and finite, got -1.0",
+                id="bad-value-before-k",
+            ),
+            pytest.param(
+                1, (math.nan,), "known priority #0 must be positive and finite, got nan", id="nan"
+            ),
+        ],
+    )
+    def test_partition_messages_in_order(self, k, known, message):
+        with pytest.raises(StructureError) as got:
+            Partition(k, known)
+        assert str(got.value) == message
+
+    def test_partition_takes_known_from_a_generator(self):
+        p = Partition(1, (v for v in (2, 1.0)))
+        assert p.known == (2.0, 1.0) and p.n == 3
+
+    def test_size_mismatch_wins_over_reciprocity(self):
+        m = PCMatrix(((1, 2), (0.6, 1)))  # not reciprocal
+        message = "partition describes 3 alternatives, matrix has 2"
+        for check in (ensure_solvable, diagnose):
+            with pytest.raises(StructureError) as got:
+                check(m, Partition(2, (1.0,)))
+            assert str(got.value) == message
+        with pytest.raises(ReciprocityError):
+            ensure_solvable(m, Partition(1, (1.0,)))
+
+    def test_fill_missing_checks_the_length_first(self):
+        m = PCMatrix(((1, MISSING), (MISSING, 1)))
+        with pytest.raises(StructureError) as got:
+            fill_missing(m, (1.0, -2.0, 3.0))
+        assert str(got.value) == "expected 2 values, got 3"
+        with pytest.raises(StructureError) as got:
+            fill_missing(m, (1.0, -2.0))
+        assert str(got.value) == "fill value #1 must be positive and finite, got -2.0"
+
+    def test_ranking_messages(self):
+        with pytest.raises(StructureError) as got:
+            Ranking((1.0, math.inf), k=1)
+        assert str(got.value) == "ranking value #1 must be positive and finite, got inf"
+        for k in (-1, 3):
+            with pytest.raises(StructureError) as got:
+                Ranking((1.0, 2.0), k=k)
+            assert str(got.value) == f"k={k} out of range for 2 values"
+
+    def test_three_dimensional_array_is_rejected(self):
+        with pytest.raises(StructureError) as got:
+            PCMatrix(np.ones((2, 2, 2)))
+        assert str(got.value) == "expected a 2-D array, got 3 dimension(s)"
