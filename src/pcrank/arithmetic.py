@@ -59,7 +59,7 @@ class ArithmeticSystem:
             raise NonPositiveSolutionError(x)
         if not x.all():
             raise SingularMatrixError("computed priorities leave the float range")
-        return Ranking(tuple(float(v) for v in x) + partition.known, partition.k)
+        return Ranking(tuple(x.tolist()) + partition.known, partition.k)
 
 
 @np.errstate(over="ignore")  # overflow gives inf, which solve rejects

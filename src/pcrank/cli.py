@@ -118,9 +118,9 @@ def cmd_rank(args) -> int:
 def cmd_check(args) -> int:
     problem = _load(args)
     try:
-        partition = problem.partition
-    except PcrankError:
-        partition = None
+        partition, unusable = problem.partition, None
+    except PcrankError as exc:  # no known or no unknown alternative: a finding
+        partition, unusable = None, exc
     report = diagnose(problem.matrix, partition, args.tol)
 
     lines = [
@@ -138,7 +138,7 @@ def cmd_check(args) -> int:
     )
     lines.append(f"undefined comparisons per row: {counts}")
     if report.connectivity_ok is None:
-        lines.append("connectivity: skipped (no usable known/unknown split)")
+        lines.append(f"connectivity: FAILED ({unusable})")
     elif report.connectivity_ok:
         lines.append("connectivity: ok")
     else:
@@ -147,7 +147,7 @@ def cmd_check(args) -> int:
     lines.append(f"triad deviations above tol {args.tol:g}: {len(report.triad_columns[3])}")
     listing = _triad_listing(problem.labels, report.triad_columns)
     _emit(args, chain(["\n".join(lines) + "\n"], listing))
-    return 0 if report.clean else 1
+    return 0 if report.clean and unusable is None else 1
 
 
 _LISTING_CHUNK = 1 << 12  # rows per formatted piece of the triad listing

@@ -26,7 +26,6 @@ import csv
 import io
 import json
 import math
-import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -34,8 +33,6 @@ import numpy as np
 
 from .errors import ParseError, StructureError
 from .matrix import MISSING, Entry, PCMatrix, Partition
-
-_FRACTION = re.compile(r"(\d+)\s*/\s*(\d+)")
 
 # The fraction style prints p/q, q <= _MAX_DENOMINATOR, when it is within
 # _FRACTION_TOL of the value (relative, or absolute below 1).
@@ -87,10 +84,12 @@ def parse_value(token: str, line: int | None = None) -> Entry:
         return MISSING
     if not text:
         raise ParseError("empty cell (use '?' for a missing comparison)", line)
-    match = _FRACTION.fullmatch(text)
-    if match:
+    # p/q: decimal digits on both sides, whitespace allowed around the '/'.
+    p, slash, q = text.partition("/")
+    p, q = p.rstrip(), q.lstrip()
+    if slash and p.isdecimal() and q.isdecimal():
         try:
-            p, q = int(match.group(1)), int(match.group(2))
+            p, q = int(p), int(q)
             if p and q:
                 return p / q
         except (ValueError, OverflowError):  # past int()'s digit limit or the float range
@@ -331,6 +330,9 @@ def _parse_json_problem(text: str) -> tuple[list[str], np.ndarray, dict[str, flo
         raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
+    for key in obj:  # a misspelled 'known' must not vanish silently
+        if key not in ("alternatives", "matrix", "known"):
+            raise ParseError(f"unknown top-level key {key!r}; expected alternatives, matrix, known")
     labels = obj.get("alternatives")
     if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
         raise ParseError("'alternatives' must be an array of strings")
@@ -391,7 +393,7 @@ def _canonicalize(labels: list[str], grid: np.ndarray, known: dict[str, float]) 
     return Problem(
         labels=tuple(order),
         original_labels=tuple(labels),
-        matrix=PCMatrix(grid[np.ix_(perm, perm)]),
+        matrix=PCMatrix(grid.take(perm, 0).take(perm, 1)),
         known=tuple((label, known[label]) for label in known_labels),
     )
 

@@ -68,7 +68,7 @@ class PCMatrix:
 
     Built from nested rows with :data:`MISSING` in absent cells (NaN is
     rejected), or from a 2-D ``float64`` array with NaN in them, which is
-    copied.  The diagonal is fixed at 1.  Every matrix pass reads ``array``
+    copied in C order.  The diagonal is fixed at 1.  Every pass reads ``array``
     (read-only ``float64``, NaN where missing) and ``mask`` (read-only).
     ``entries[i][j]``, the ratio of ``i`` over ``j`` or :data:`MISSING`, is
     built on first use; equality, hashing and ``repr`` go by it.
@@ -78,9 +78,9 @@ class PCMatrix:
         array_form = isinstance(entries, np.ndarray)
         if array_form and entries.ndim != 2:
             raise StructureError(f"expected a 2-D array, got {entries.ndim} dimension(s)")
-        rows = np.array(entries, dtype=float) if array_form else [tuple(row) for row in entries]
+        rows = np.array(entries, float, order="C") if array_form else [tuple(r) for r in entries]
         n = len(rows)
-        for i, row in enumerate(rows):
+        for i, row in enumerate(rows[:1] if array_form else rows):  # an array's rows share a length
             if len(row) != n:
                 raise StructureError(f"row {i} has {len(row)} cells, expected {n}")
         if array_form:
@@ -88,8 +88,8 @@ class PCMatrix:
         else:
             objects = np.array(rows, dtype=object).reshape(n, n)
             a, mask = objects.astype(float), np.not_equal(objects, MISSING)
-        diag = np.eye(n, dtype=bool)
-        bad = (diag & (a != 1.0)) | (mask & ~(np.isfinite(a) & (a > 0.0)))
+        bad = mask & ~((a > 0.0) & (a < math.inf))
+        bad.flat[:: n + 1] |= a.diagonal() != 1.0  # a missing diagonal cell is NaN, not 1
         if bad.any():
             i, j = divmod(int(bad.argmax()), n)
             cell = a[i, j].item() if array_form else rows[i][j]
@@ -100,9 +100,8 @@ class PCMatrix:
                     f"entry ({i},{j}) must be a positive finite number, got {cell!r}"
                 )
             raise StructureError(f"diagonal entry ({i},{i}) must be 1, got {cell!r}")
-        asymmetric = np.triu(mask != mask.T)
-        if asymmetric.any():
-            i, j = divmod(int(asymmetric.argmax()), n)
+        if (mask != mask.T).any():
+            i, j = divmod(int(np.triu(mask != mask.T).argmax()), n)
             raise StructureError(
                 f"asymmetric missingness: exactly one of ({i},{j}) and ({j},{i}) is missing"
             )
@@ -271,7 +270,8 @@ def validate_reciprocity(matrix: PCMatrix, tol: float = DEFAULT_TOL) -> list[Rec
     more than ``tol``.  An empty list means reciprocal within tolerance."""
     a = matrix.array
     # Missing cells are NaN, and NaN never compares greater than tol.
-    bad = np.argwhere(np.triu(np.abs(a * a.T - 1.0) > tol, 1)).tolist()
+    far = np.abs(a * a.T - 1.0) > tol
+    bad = np.argwhere(np.triu(far, 1)).tolist() if far.any() else []
     return [ReciprocityViolation(i, j, float(a[i, j]), float(a[j, i])) for i, j in bad]
 
 
@@ -338,8 +338,8 @@ def check_connectivity(matrix: PCMatrix, partition: Partition) -> tuple[bool, li
     seen = np.arange(n) >= partition.k
     frontier = seen
     while frontier.any():
-        frontier = matrix.mask[frontier].any(axis=0) & ~seen
-        seen = seen | frontier
+        frontier = matrix.mask[frontier].any(axis=0) > seen
+        seen |= frontier
     isolated = np.flatnonzero(~seen).tolist()
     return not isolated, isolated
 
@@ -375,8 +375,7 @@ def ensure_solvable(matrix: PCMatrix, partition: Partition, tol: float = DEFAULT
     violations = validate_reciprocity(matrix, tol)
     if violations:
         raise ReciprocityError(violations)
-    counts = undefined_counts(matrix)
-    degenerate = [i for i in range(partition.k) if matrix.n - counts[i] - 1 == 0]
+    degenerate = np.flatnonzero(matrix.mask[: partition.k].sum(axis=1) == 1).tolist()
     if degenerate:
         raise DegenerateRowError(degenerate)
     if not ok:

@@ -8,8 +8,9 @@ tests cross-check the implementation instead of echoing it.
 The ``*_loops`` functions, :func:`eliminate`, :func:`parse_problem_cells`,
 :func:`json_grid_cells` and :func:`serialize_problem_cells` keep the
 cell-by-cell Python versions of the systems, the solver, the triad scan,
-parsing and serializing that the library now computes with array
-operations; tests require the two to agree.
+the input checks, parsing and serializing that the library now computes
+with array operations; :func:`parse_value_regex` keeps the regular-expression
+grammar of a cell.  Tests require the two to agree.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import csv
 import io
 import json
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -27,6 +29,7 @@ from pcrank import (
     MISSING,
     PCMatrix,
     Partition,
+    ParseError,
     PcrankError,
     Problem,
     check_connectivity,
@@ -257,9 +260,9 @@ def check_report_rows(problem: Problem, tol: float) -> tuple[str, int]:
     lines.append(f"undefined comparisons per row: {counts}")
     try:
         ok, isolated = check_connectivity(matrix, problem.partition)
-    except PcrankError:
-        ok = None
-        lines.append("connectivity: skipped (no usable known/unknown split)")
+    except PcrankError as exc:  # no known or no unknown alternative
+        ok = False
+        lines.append(f"connectivity: FAILED ({exc})")
     else:
         if ok:
             lines.append("connectivity: ok")
@@ -272,6 +275,57 @@ def check_report_rows(problem: Problem, tol: float) -> tuple[str, int]:
         lines.append(f"  ({labels[i]}, {labels[j]}, {labels[k]}): deviation {deviation:.6g}")
     clean = not violations and not triads and ok is not False
     return "\n".join(lines) + "\n", 0 if clean else 1
+
+
+def pcmatrix_error_loops(rows: Rows) -> str | None:
+    """Reference construction check of nested rows: the message of the first
+    bad cell in row-major order (a diagonal cell must be 1, any other present
+    cell positive and finite), else of the first pair i < j in row-major order
+    with exactly one cell missing, else None."""
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            v = rows[i][j]
+            if i == j and v is MISSING:
+                return f"diagonal entry ({i},{i}) cannot be missing"
+            if v is not MISSING and not (math.isfinite(v) and v > 0.0):
+                return f"entry ({i},{j}) must be a positive finite number, got {v!r}"
+            if i == j and v != 1.0:
+                return f"diagonal entry ({i},{i}) must be 1, got {v!r}"
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (rows[i][j] is MISSING) != (rows[j][i] is MISSING):
+                return f"asymmetric missingness: exactly one of ({i},{j}) and ({j},{i}) is missing"
+    return None
+
+
+_FRACTION = re.compile(r"(\d+)\s*/\s*(\d+)")
+
+
+def parse_value_regex(token: str, line: int | None = None):
+    """Reference cell parser: a fraction is whatever ``(\\d+)\\s*/\\s*(\\d+)``
+    matches in full after stripping; the rest as in ``parse_value``."""
+    text = token.strip()
+    if text == "?":
+        return MISSING
+    if not text:
+        raise ParseError("empty cell (use '?' for a missing comparison)", line)
+    match = _FRACTION.fullmatch(text)
+    if match:
+        try:
+            p, q = int(match.group(1)), int(match.group(2))
+            if p and q:
+                return p / q
+        except (ValueError, OverflowError):
+            raise ParseError(f"fraction {text!r} is out of range", line) from None
+        raise ParseError(f"fraction {text!r} must have positive numerator and denominator", line)
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"cannot parse value {text!r}", line) from None
+    if not math.isfinite(value):
+        raise ParseError(f"value {text!r} is not finite", line)
+    return value
 
 
 def json_grid_cells(grid, n: int) -> Rows:

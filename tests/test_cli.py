@@ -334,6 +334,55 @@ def test_unusable_partition_stderr(tmp_path, capsys, name, text, err, command):
     assert capsys.readouterr() == ("", err)
 
 
+@pytest.mark.parametrize(
+    "name,text,counts,message",
+    [
+        pytest.param("nok.csv", "label,a,b\na,1,4\nb,1/4,1\n", "2 (2 unknown, 0 known)",
+                     NO_KNOWN, id="no-known-csv"),
+        pytest.param(
+            "nok.json", '{"alternatives": ["a", "b"], "matrix": [[1, 4], [0.25, 1]]}',
+            "2 (2 unknown, 0 known)", NO_KNOWN, id="no-known-json",
+        ),
+        pytest.param(
+            "allk.csv", "label,a,b\na,1,4\nb,1/4,1\n\nlabel,priority\na,4\nb,1\n",
+            "2 (0 unknown, 2 known)", ALL_KNOWN, id="all-known-csv",
+        ),
+        pytest.param(
+            "allk.json",
+            '{"alternatives": ["a", "b"], "matrix": [[1, 4], [0.25, 1]], "known": {"a": 4, "b": 1}}',
+            "2 (0 unknown, 2 known)", ALL_KNOWN, id="all-known-json",
+        ),
+        pytest.param("none.json", '{"alternatives": [], "matrix": []}', "0 (0 unknown, 0 known)",
+                     NO_KNOWN, id="empty-json"),
+    ],
+)
+def test_check_unusable_partition_is_a_finding(tmp_path, capsys, name, text, counts, message):
+    """``check`` on a file the solvers refuse for its known/unknown split
+    prints the split's error on the connectivity line and exits 1."""
+    assert main(["check", write(tmp_path, name, text)]) == 1
+    out, err = capsys.readouterr()
+    rows = "a=0, b=0" if counts.startswith("2") else ""
+    reason = message.removeprefix("PARSE_ERROR: ").rstrip("\n")
+    assert out == (
+        f"alternatives: {counts}\nreciprocity violations: 0\n"
+        f"undefined comparisons per row: {rows}\nconnectivity: FAILED ({reason})\n"
+        "triad deviations above tol 1e-09: 0\n"
+    )
+    assert err == ""
+
+
+@pytest.mark.parametrize("known", [False, True], ids=["inline", "known-file"])
+def test_json_unknown_top_level_key_is_a_parse_error(tmp_path, capsys, known):
+    text = '{"alternatives": ["a", "b"], "matrix": [[1, 2], [0.5, 1]], "knwon": {"b": 3}}'
+    argv = ["rank", write(tmp_path, "typo.json", text), "--method", "geometric"]
+    if known:
+        argv += ["--known", write(tmp_path, "kb.csv", "b,1\n")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "PARSE_ERROR: unknown top-level key 'knwon'; expected alternatives, matrix, known\n"
+    )
+
+
 def test_json_repeated_key_is_a_parse_error(tmp_path, capsys):
     text = '{"alternatives": ["a", "b"], "matrix": [[1, 2], [0.5, 1]], "known": {"b": 1, "b": 5}}'
     path = write(tmp_path, "dup.json", text)
@@ -454,10 +503,10 @@ class TestCheck:
         assert main(["check", path]) == 1
         assert "connectivity: FAILED" in capsys.readouterr().out
 
-    def test_no_knowns_skips_connectivity(self, tmp_path, capsys):
+    def test_no_knowns_is_a_finding(self, tmp_path, capsys):
         path = write(tmp_path, "nok.csv", "label,a,b\na,1,4\nb,1/4,1\n")
-        assert main(["check", path]) == 0
-        assert "connectivity: skipped" in capsys.readouterr().out
+        assert main(["check", path]) == 1
+        assert "connectivity: FAILED (no known priorities declared;" in capsys.readouterr().out
 
 
 class TestTolerance:

@@ -26,6 +26,7 @@ from helpers import (
     ODD_TOKENS,
     json_grid_cells,
     parse_problem_cells,
+    parse_value_regex,
     problem_texts,
     ratio_rows,
     rng_for,
@@ -60,6 +61,40 @@ class TestParseValue:
     def test_rejected_tokens(self, bad):
         with pytest.raises(ParseError):
             parse_value(bad)
+
+
+def _parsed(parse, token: str):
+    try:
+        return "value", parse(token, 7)
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+
+
+_DIGITS = "0123456789\u0661\u0662\uff11\u00b2"  # Arabic-Indic, fullwidth, superscript
+_SPACES = " \t\xa0\u2003\x1c\x85\u2028"
+_fraction_like = st.builds(
+    "{}{}{}{}{}".format,
+    st.text(alphabet=_DIGITS + "+-", max_size=4),
+    st.text(alphabet=_SPACES, max_size=2),
+    st.sampled_from(["/", "//", "/ /", ""]),
+    st.text(alphabet=_SPACES, max_size=2),
+    st.text(alphabet=_DIGITS + "._", max_size=4),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(_fraction_like, st.text(alphabet=_DIGITS + _SPACES + "/?.e+-_x", max_size=8)))
+@example("1" * 4300 + "/1")
+@example("1/" + "1" * 4301)
+@example("9" * 400 + " / 1")
+@example("1 // 2")
+@example("\u0661/\uff12")
+@example("\u00b2/2")
+def test_parse_value_matches_regex_grammar(token):
+    """The regex-free reader takes the tokens the ``(\\d+)\\s*/\\s*(\\d+)``
+    grammar takes, with the same value, message and line, on Unicode digits
+    and spaces, signs, repeated slashes and int()'s digit limit alike."""
+    assert _parsed(parse_value, token) == _parsed(parse_value_regex, token)
 
 
 class TestParseProblem:
@@ -712,6 +747,17 @@ def test_json_repeated_key_is_a_parse_error(text, key):
     with pytest.raises(ParseError) as got:
         parse_problem(text, "json")
     assert str(got.value) == f"repeated key {key!r} in a JSON object"
+
+
+@pytest.mark.parametrize("key", ["knwon", "Known", "comment"])
+@pytest.mark.parametrize("known_text", [None, "b,1\n"], ids=["inline", "known-file"])
+def test_json_unknown_top_level_key_is_a_parse_error(key, known_text):
+    """Only 'alternatives', 'matrix' and 'known' may sit at the top level, so
+    a misspelled 'known' is an error even when a known file is given."""
+    text = json.dumps({"alternatives": ["a", "b"], "matrix": [[1, 2], [0.5, 1]], key: {"b": 3}})
+    with pytest.raises(ParseError) as got:
+        parse_problem(text, "json", known_text=known_text)
+    assert str(got.value) == f"unknown top-level key {key!r}; expected alternatives, matrix, known"
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pcrank import (
     MISSING,
+    PcrankError,
     KnownComparisonWarning,
     DegenerateRowError,
     NotConnectedError,
@@ -22,12 +23,15 @@ from pcrank import (
     diagnose,
     ensure_solvable,
     fill_missing,
+    solve_arithmetic,
+    solve_geometric,
     undefined_counts,
     validate_reciprocity,
 )
 from helpers import (
     drop_pairs,
     instances,
+    pcmatrix_error_loops,
     perturbed_rows,
     random_instance,
     ratio_rows,
@@ -39,6 +43,25 @@ from helpers import (
 
 positive = st.floats(min_value=0.1, max_value=10.0, allow_nan=False, allow_infinity=False)
 vectors = st.lists(positive, min_size=2, max_size=7)
+
+
+@st.composite
+def checked_rows(draw):
+    """Nested rows for the construction checks: mostly 1, ratios and missing
+    cells, and in one draw of two also zero, negative and non-finite cells."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    cells = [1.0, 1.0, 1.0, 2.0, 0.5, MISSING, MISSING]
+    if draw(st.booleans()):
+        cells += [0.0, -1.0, math.inf, math.nan]
+    cell = st.sampled_from(cells)
+    return [[draw(cell) for _ in range(n)] for _ in range(n)]
+
+
+def _outcome(solve, matrix, partition):
+    try:
+        return solve(matrix, partition).values
+    except PcrankError as exc:
+        return str(exc)
 
 
 class TestConstruction:
@@ -120,6 +143,79 @@ class TestConstruction:
         assert m.missing_pairs() == [(0, 2)]
         assert not m.is_complete
 
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (
+                [[1.0, 2.0, 0.5], [0.5, 3.0, 2.0], [-1.0, 0.5, 1.0]],
+                "diagonal entry (1,1) must be 1, got 3.0",
+            ),
+            (
+                [[1.0, 2.0, 0.0], [0.5, 3.0, 2.0], [2.0, 0.5, 1.0]],
+                "entry (0,2) must be a positive finite number, got 0.0",
+            ),
+            (
+                [[1.0, 2.0, 0.5], [math.inf, MISSING, 2.0], [2.0, 0.5, 1.0]],
+                "entry (1,0) must be a positive finite number, got inf",
+            ),
+            (
+                [[1.0, MISSING, 0.5], [MISSING, MISSING, -2.0], [2.0, 0.5, 1.0]],
+                "diagonal entry (1,1) cannot be missing",
+            ),
+        ],
+        ids=["diagonal-first", "off-diagonal-first", "off-diagonal-before-missing-diagonal",
+             "missing-diagonal-first"],
+    )
+    def test_first_bad_cell_in_row_major_order(self, rows, message):
+        for entries in (rows, np.array(rows, dtype=float)):
+            with pytest.raises(StructureError) as err:
+                PCMatrix(entries)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "missing,pair",
+        [([(3, 1), (0, 2)], (0, 2)), ([(2, 0), (1, 3)], (0, 2)), ([(3, 2), (1, 3)], (1, 3))],
+        ids=["upper-cell-first", "lower-cell-first", "second-row"],
+    )
+    def test_first_asymmetric_pair_in_row_major_order(self, missing, pair):
+        rows = ratio_rows([1.0, 2.0, 3.0, 4.0])
+        for i, j in missing:
+            rows[i][j] = MISSING
+        i, j = pair
+        message = f"asymmetric missingness: exactly one of ({i},{j}) and ({j},{i}) is missing"
+        for entries in (rows, np.array(rows, dtype=float)):
+            with pytest.raises(StructureError) as err:
+                PCMatrix(entries)
+            assert str(err.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(checked_rows())
+    def test_construction_errors_match_loop_reference(self, rows):
+        """Nested rows, and their array form when no cell is NaN, fail with
+        the reference's message, or build when it finds nothing."""
+        expected = pcmatrix_error_loops(rows)
+        forms = [rows]
+        if not any(v is not MISSING and math.isnan(v) for row in rows for v in row):
+            forms.append(np.array(rows, dtype=float))
+        for entries in forms:
+            if expected is None:
+                assert PCMatrix(entries).entries == tuple(map(tuple, rows))
+            else:
+                with pytest.raises(StructureError) as err:
+                    PCMatrix(entries)
+                assert str(err.value) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances(max_n=16))
+    def test_memory_layout_does_not_change_rankings(self, instance):
+        """An F-ordered array ranks bit for bit as its C-ordered copy, by
+        both methods; the stored array is C-ordered either way."""
+        m, partition, _ = instance
+        c_form, f_form = PCMatrix(np.ascontiguousarray(m.array)), PCMatrix(np.asfortranarray(m.array))
+        assert c_form.array.flags.c_contiguous and f_form.array.flags.c_contiguous
+        for solve in (solve_arithmetic, solve_geometric):
+            assert _outcome(solve, f_form, partition) == _outcome(solve, c_form, partition)
+
 
 class TestReciprocity:
     def test_exact_reciprocals_with_missing_pair(self):
@@ -134,6 +230,20 @@ class TestReciprocity:
         rng = rng_for(7)
         v = rng.uniform(0.2, 5.0, size=6)
         assert validate_reciprocity(rows_to_matrix(ratio_rows(v)), 1e-9) == []
+
+    def test_violations_in_row_major_pair_order(self):
+        rows = ratio_rows([1.0, 2.0, 3.0, 4.0, 5.0])
+        for i, j in [(4, 3), (3, 0), (2, 1), (1, 0)]:
+            rows[i][j] *= 1.5
+        m = rows_to_matrix(rows)
+        expected = [(i, j, rows[i][j], rows[j][i]) for i, j in [(0, 1), (0, 3), (1, 2), (3, 4)]]
+        assert validate_reciprocity(m) == expected
+        with pytest.raises(ReciprocityError) as err:
+            ensure_solvable(m, Partition(4, (5.0,)))
+        assert err.value.violations == tuple(expected)
+
+    def test_reciprocal_matrix_gives_an_empty_list(self):
+        assert validate_reciprocity(rows_to_matrix(ratio_rows([1.0, 3.0, 7.0]))) == []
 
 
 class TestConsistency:
@@ -319,6 +429,19 @@ class TestEnsureSolvable:
         m = PCMatrix(((1, 2), (0.5, 1)))
         with pytest.raises(StructureError):
             ensure_solvable(m, Partition(2, (1.0,)))
+
+    def test_degenerate_rows_in_index_order(self):
+        # Unknowns 0 and 3 have no comparison; known 5 has none either, and
+        # is not listed.  Unknowns 1 and 2 reach known 4.
+        rows = [[MISSING] * 6 for _ in range(6)]
+        for i in range(6):
+            rows[i][i] = 1.0
+        for i, j in [(1, 4), (2, 4), (1, 2)]:
+            rows[i][j], rows[j][i] = 2.0, 0.5
+        with pytest.raises(DegenerateRowError) as err:
+            ensure_solvable(rows_to_matrix(rows), Partition(4, (1.0, 2.0)))
+        assert err.value.rows == (0, 3)
+        assert str(err.value) == "unknown alternative(s) [0, 3] have no defined comparisons"
 
 
 class TestFillMissing:
