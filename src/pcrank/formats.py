@@ -503,8 +503,7 @@ def serialize_table(
 
 def serialize_problem(problem: Problem, fmt: str = "csv", number_style: str = "decimal") -> str:
     """Serialize a problem back to text, in the original label order."""
-    if number_style not in ("decimal", "fraction"):
-        raise ValueError(f"unknown number style {number_style!r}")
+    format_value(1.0, number_style)  # an unknown style raises before any text is built
     labels = problem.original_labels
     order = problem.file_order
     array = problem.matrix.array[np.ix_(order, order)]

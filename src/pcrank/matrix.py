@@ -78,6 +78,8 @@ class PCMatrix:
         array_form = isinstance(entries, np.ndarray)
         if array_form and entries.ndim != 2:
             raise StructureError(f"expected a 2-D array, got {entries.ndim} dimension(s)")
+        if array_form and len(entries) == 0 < entries.shape[1]:  # no row 0 to name
+            raise StructureError(f"expected a square array, got shape {entries.shape}")
         rows = np.array(entries, float, order="C") if array_form else [tuple(r) for r in entries]
         n = len(rows)
         for i, row in enumerate(rows[:1] if array_form else rows):  # an array's rows share a length
@@ -279,19 +281,23 @@ def validate_reciprocity(matrix: PCMatrix, tol: float = DEFAULT_TOL) -> list[Rec
 def _triad_columns(matrix: PCMatrix, tol: float):
     """The triad scan behind :func:`check_consistency`, as read-only columns
     ``(i, j, k, deviation)``: int arrays and a float array, in the order of
-    ``itertools.combinations``.  Each ``i`` scans its (j, k) block at once.
+    ``itertools.combinations``.  The j < k pairs are listed once with c_kj;
+    row ``i``'s (j > i) are a suffix of them, scanned in one 1-D pass.
     """
     a = matrix.array
+    pair_j, pair_k = np.triu_indices(matrix.n, 1)
+    pair_c_kj = a[pair_k, pair_j]
     counts = []
     pieces = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
     for i in range(matrix.n - 2):
-        row, rest = a[i, i + 1 :], a[i + 1 :, i + 1 :]
-        direct = row[:, None]
-        deviation = np.abs(direct - row[None, :] * rest.T) / direct
+        start = len(pair_j) - (matrix.n - 1 - i) * (matrix.n - 2 - i) // 2  # first pair with j > i
+        js, ks, row = pair_j[start:], pair_k[start:], a[i]
+        direct = row[js]
+        deviation = np.abs(direct - row[ks] * pair_c_kj[start:]) / direct
         # A missing pair makes the deviation NaN, which never exceeds tol.
-        js, ks = np.nonzero(np.triu(deviation > tol, 1))
-        counts.append(len(js))
-        for column, values in zip(pieces, (js + i + 1, ks + i + 1, deviation[js, ks])):
+        hits = np.flatnonzero(deviation > tol)
+        counts.append(len(hits))
+        for column, values in zip(pieces, (js[hits], ks[hits], deviation[hits])):
             column.append(values)
     columns = [np.repeat(np.arange(len(counts), dtype=np.intp), counts)]
     for column in pieces:  # joined one at a time, freeing its pieces, to bound peak memory

@@ -508,6 +508,29 @@ class TestCheck:
         assert main(["check", path]) == 1
         assert "connectivity: FAILED (no known priorities declared;" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "options, listing",
+        [
+            ([], "triad deviations above tol 1e-09: 2\n"
+                 "  (a, b, d): deviation 9\n  (b, c, d): deviation 0.988095\n"),
+            (["--tol", "1"], "triad deviations above tol 1: 1\n  (a, b, d): deviation 9\n"),
+        ],
+    )
+    def test_exact_report_with_a_missing_pair(self, tmp_path, capsys, options, listing):
+        # (a, b, c) and (a, c, d) touch the missing pair a-c and are skipped.
+        text = (
+            "label,a,b,c,d\na,1,2,?,5\nb,1/2,1,3,1/4\nc,?,1/3,1,7\nd,1/5,4,1/7,1\n"
+            "\nlabel,priority\nd,1\n"
+        )
+        path = write(tmp_path, "four.csv", text)
+        assert main(["check", path, *options]) == 1
+        assert capsys.readouterr().out == (
+            "alternatives: 4 (3 unknown, 1 known)\n"
+            "reciprocity violations: 0\n"
+            "undefined comparisons per row: a=1, b=0, c=1, d=0\n"
+            "connectivity: ok\n" + listing
+        )
+
 
 class TestTolerance:
     """``--tol`` is a usage error (exit 2) unless it is a number >= 0."""

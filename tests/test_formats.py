@@ -645,6 +645,16 @@ class TestSerialize:
         with pytest.raises(ValueError, match="unknown number style 'roman'"):
             serialize_problem(parse_problem(CSV_3, "csv"), fmt, "roman")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unknown_number_style_without_known_priorities(self, fmt):
+        # Nothing here reaches a known-priority cell, and yet the style is checked.
+        problem = parse_problem("label,a,b\na,1,2\nb,1/2,1\n", "csv")
+        assert not problem.known
+        with pytest.raises(ValueError, match="unknown number style 'hex'"):
+            serialize_problem(problem, fmt, number_style="hex")
+        with pytest.raises(ValueError, match="unknown number style 'hex'"):
+            format_value(1.0, "hex")
+
     def test_problem_round_trip_csv(self):
         problem = parse_problem(CSV_3, "csv")
         text = serialize_problem(problem, "csv", number_style="fraction")

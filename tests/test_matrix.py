@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -290,6 +291,44 @@ def test_triad_scan_matches_loop_reference_at_n40():
     assert not matrix.is_complete
     for tol in (1e-9, 0.2, 0.6):
         assert check_consistency(matrix, tol) == triad_deviations_loops(matrix, tol)
+
+
+# The pair (0, 2) is missing: only the triads (0, 1, 3) and (1, 2, 3) are examined.
+FOUR_WITH_A_GAP = PCMatrix(
+    ((1, 2, MISSING, 5), (0.5, 1, 3, 0.25), (MISSING, 1 / 3, 1, 7), (0.2, 4, 1 / 7, 1))
+)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4])
+def test_triad_columns_types(n):
+    matrix = FOUR_WITH_A_GAP if n == 4 else PCMatrix(np.ones((n, n)))
+    columns = diagnose(matrix).triad_columns
+    assert [column.dtype for column in columns] == [np.intp, np.intp, np.intp, np.float64]
+    assert not any(column.flags.writeable for column in columns)
+    assert [column.shape for column in columns] == [(2 if n == 4 else 0,)] * 4
+
+
+def _scan_is_the_reference(matrix, tol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing product must stay silent
+        scanned = check_consistency(matrix, tol)
+    assert scanned == triad_deviations_loops(matrix, tol)
+    assert list(diagnose(matrix, tol=tol).triad_deviations) == scanned
+    return scanned
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.5, math.inf])
+def test_triad_scan_hand_built_cases(tol):
+    listed = _scan_is_the_reference(FOUR_WITH_A_GAP, tol)
+    assert [row[:3] for row in listed] == ([] if tol == math.inf else [(0, 1, 3), (1, 2, 3)])
+    # c_02 * c_21 = 1e200 * 1e200 overflows: the deviation is inf, and listed.
+    overflow = PCMatrix(((1, 1, 1e200), (1, 1, 1e-200), (1e-200, 1e200, 1)))
+    listed = _scan_is_the_reference(overflow, tol)
+    assert listed == ([] if tol == math.inf else [(0, 1, 2, math.inf)])
+    # check scans non-reciprocal input too: c_kj is read as given, never as 1 / c_jk,
+    # and a pair with j == i (c_ii = 1 against c_ik * c_ki != 1) is no triad.
+    skewed = PCMatrix(np.array([[1.0, 2, 3, 5], [7, 1, 11, 13], [17, 19, 1, 23], [29, 31, 37, 1]]))
+    assert len(_scan_is_the_reference(skewed, tol)) == (0 if tol == math.inf else 4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -599,3 +638,20 @@ class TestInputRuleMessages:
         with pytest.raises(StructureError) as got:
             PCMatrix(np.ones((2, 2, 2)))
         assert str(got.value) == "expected a 2-D array, got 3 dimension(s)"
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((0, 3), "expected a square array, got shape (0, 3)"),
+            ((3, 0), "row 0 has 0 cells, expected 3"),
+            ((2, 3), "row 0 has 3 cells, expected 2"),
+        ],
+    )
+    def test_non_square_array_is_rejected(self, shape, message):
+        with pytest.raises(StructureError) as got:
+            PCMatrix(np.ones(shape))
+        assert str(got.value) == message
+
+    def test_empty_array_is_an_empty_matrix(self):
+        matrix = PCMatrix(np.zeros((0, 0)))
+        assert matrix.n == 0 and matrix.array.shape == matrix.mask.shape == (0, 0)
