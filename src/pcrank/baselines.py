@@ -45,6 +45,7 @@ def _as_array(matrix: PCMatrix) -> np.ndarray:
     return matrix.array
 
 
+@np.errstate(over="ignore")  # a sum past the float range is inf, which raises below
 def evm(matrix: PCMatrix, max_iter: int = 10000, conv_tol: float = 1e-12) -> BaselineResult:
     """Eigenvalue-method weights: the sum-normalized principal eigenvector.
 

@@ -20,7 +20,7 @@ import functools
 import math
 import sys
 import warnings
-from itertools import chain
+from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .arithmetic import build_arithmetic_system
 from .baselines import evm, gmm
-from .errors import ParseError, PcrankError
+from .errors import KnownComparisonWarning, ParseError, PcrankError
 from .formats import Problem, parse_problem, serialize_problem, serialize_ranking, serialize_table
 from .geometric import build_geometric_system
 from .matrix import DEFAULT_TOL, diagnose, ensure_solvable, fill_missing
@@ -93,10 +93,6 @@ def _solve_methods(problem: Problem, methods, tol: float):
 def _in_file_order(problem: Problem, columns: dict) -> dict:
     order = problem.file_order
     return {name: [values[i] for i in order] for name, values in columns.items()}
-
-
-def _max_relative_difference(a, b) -> float:
-    return max(abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b))
 
 
 def cmd_rank(args) -> int:
@@ -198,14 +194,11 @@ def cmd_compare(args) -> int:
         columns["gmm"] = gmm(problem.matrix).weights
 
     columns = _in_file_order(problem, columns)
-    names = list(columns)
     lines = ["# priorities rescaled to sum 1 for comparability"]
     lines.append(serialize_table(problem.original_labels, columns, "csv").rstrip("\n"))
-    for a_idx in range(len(names)):
-        for b_idx in range(a_idx + 1, len(names)):
-            a, b = names[a_idx], names[b_idx]
-            diff = _max_relative_difference(columns[a], columns[b])
-            lines.append(f"max relative difference {a}/{b}: {diff:.6g}")
+    for a, b in combinations(columns, 2):
+        diff = max(abs(x - y) / max(abs(x), abs(y)) for x, y in zip(columns[a], columns[b]))
+        lines.append(f"max relative difference {a}/{b}: {diff:.6g}")
     _emit(args, ["\n".join(lines) + "\n"])
     return 0
 
@@ -272,11 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built once per process: building it costs
-    more than ten times as much as one ``parse_args``."""
-    return build_parser()
+# The parser ``main`` uses, built once per process: building it costs more
+# than ten times as much as one ``parse_args``.
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
@@ -287,7 +278,7 @@ def main(argv=None) -> int:
 
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("always")
+            warnings.simplefilter("always", KnownComparisonWarning)
             warnings.showwarning = show_warning
             return args.handler(args)
     except PcrankError as exc:

@@ -80,9 +80,6 @@ class SingularMatrixError(PcrankError):
     code = "SINGULAR_MATRIX"
     exit_code = 3
 
-    def __init__(self, message: str = "coefficient matrix is singular"):
-        super().__init__(message)
-
 
 class NonPositiveSolutionError(PcrankError):
     """The arithmetic solver produced a negative priority, which has no

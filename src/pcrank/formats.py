@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -157,16 +158,7 @@ def _lf_lines(text: str) -> str:
 
 
 def _split_blocks(rows: list[tuple[int, list[str]]]) -> list[list[tuple[int, list[str]]]]:
-    blocks: list[list[tuple[int, list[str]]]] = [[]]
-    for line, cells in rows:
-        if not any(cells):
-            if blocks[-1]:
-                blocks.append([])
-            continue
-        blocks[-1].append((line, cells))
-    if blocks and not blocks[-1]:
-        blocks.pop()
-    return blocks
+    return [list(run) for filled, run in itertools.groupby(rows, lambda row: any(row[1])) if filled]
 
 
 def _parse_known_block(rows: list[tuple[int, list[str]]]) -> dict[str, float]:

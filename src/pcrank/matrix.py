@@ -15,7 +15,8 @@ once per input, then ``build_*_system`` assembles and ``.ranking`` solves
 (``solve_*`` does all three).  Everything here is immutable and side-effect
 free, so instances can be shared freely across threads.
 
-Indices are 0-based throughout; the CLI translates to labels for display.
+Indices are 0-based, unknowns first.  The CLI's ``check`` report names labels,
+but every CLI error message prints these indices as they are.
 """
 
 from __future__ import annotations
@@ -193,8 +194,10 @@ class Ranking:
 
     def __post_init__(self):
         values = _positive_finite(self.values, "ranking value")
-        if not 0 <= self.k <= len(values):
-            raise StructureError(f"k={self.k} out of range for {len(values)} values")
+        k = operator.index(self.k)
+        if not 0 <= k <= len(values):
+            raise StructureError(f"k={k} out of range for {len(values)} values")
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "values", values)
 
     @property

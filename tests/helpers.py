@@ -10,7 +10,8 @@ The ``*_loops`` functions, :func:`eliminate`, :func:`parse_problem_cells`,
 cell-by-cell Python versions of the systems, the solver, the triad scan,
 the input checks, parsing and serializing that the library now computes
 with array operations; :func:`parse_value_regex` keeps the regular-expression
-grammar of a cell.  Tests require the two to agree.
+grammar of a cell, and :func:`split_blocks_loop` the blank-row state machine
+that split a CSV file into blocks.  Tests require the two to agree.
 """
 
 from __future__ import annotations
@@ -326,6 +327,21 @@ def parse_value_regex(token: str, line: int | None = None):
     if not math.isfinite(value):
         raise ParseError(f"value {text!r} is not finite", line)
     return value
+
+
+def split_blocks_loop(rows: list[tuple[int, list[str]]]) -> list[list[tuple[int, list[str]]]]:
+    """Reference block split of ``(line, cells)`` rows: a row with no
+    nonempty cell ends the block before it, and blocks are never empty."""
+    blocks: list[list[tuple[int, list[str]]]] = [[]]
+    for line, cells in rows:
+        if not any(cells):
+            if blocks[-1]:
+                blocks.append([])
+            continue
+        blocks[-1].append((line, cells))
+    if blocks and not blocks[-1]:
+        blocks.pop()
+    return blocks
 
 
 def json_grid_cells(grid, n: int) -> Rows:

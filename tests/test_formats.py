@@ -31,6 +31,7 @@ from helpers import (
     ratio_rows,
     rng_for,
     serialize_problem_cells,
+    split_blocks_loop,
 )
 
 CSV_3 = """label,a,b,c
@@ -816,6 +817,25 @@ def test_input_error_messages(text, fmt, error, message):
     with pytest.raises(error) as got:
         parse_problem(text, fmt)
     assert str(got.value) == message
+
+
+# A record as the csv reader gives it: [] for a blank line, [""] * m for a
+# line of commas, and cells that may be empty beside filled ones.
+_csv_record = st.one_of(
+    st.just([]), st.lists(st.just(""), min_size=1, max_size=3),
+    st.lists(st.sampled_from(["", "a", "1/2", "?"]), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_csv_record, max_size=12))
+@example([])
+@example([[], ["", ""], ["a", "1"], ["", "?"], [], [""], ["b", ""], [], []])
+def test_split_blocks_matches_blank_row_loop(records):
+    """Leading, repeated and trailing blank or comma-only rows split the same
+    way as in the state machine they replace, and no rows give no blocks."""
+    rows = list(enumerate(records, 1))
+    assert formats._split_blocks(rows) == split_blocks_loop(rows)
 
 
 def test_parse_known_blank_and_two_blocks():

@@ -528,6 +528,14 @@ class TestTypes:
         with pytest.raises(StructureError):
             Partition(2.0, (1.0,))
 
+    def test_ranking_takes_k_as_an_index(self):
+        r = Ranking((1.0, 2.0), np.int64(1))
+        assert r.k == 1 and type(r.k) is int and r.computed == (1.0,)
+        for k in (0, 2):  # all known, all computed
+            assert Ranking((1.0, 2.0), k).k == k
+        with pytest.raises(TypeError):
+            Ranking((1.0, 2.0), 1.5)
+
     def test_ranking_slices_and_normalization(self):
         r = Ranking((4.0, 2.0, 1.0), k=2)
         assert r.computed == (4.0, 2.0)
