@@ -18,6 +18,8 @@ through :func:`parse_value` once per distinct token, in row-major order, with
 the same values, messages and line numbers; a JSON matrix converts each
 distinct string once.  Decimal output is formatted one ``%`` per row, and
 JSON output is laid out as ``json.dumps(..., indent=2)`` lays it out.
+:func:`_g6_lines` is the one bulk ``%.6g`` writer, for the deviations of
+the ``check`` listing: numpy passes where ``%`` would write fixed notation.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from .matrix import MISSING, Entry, PCMatrix, Partition
 # _FRACTION_TOL of the value (relative, or absolute below 1).
 _MAX_DENOMINATOR = 9999
 _FRACTION_TOL = 1e-12
+
+_POWERS_OF_TEN = 10.0 ** np.arange(11)  # each exact: every power up to 1e22 is a float
 
 
 @dataclass(frozen=True)
@@ -139,6 +143,49 @@ def format_value(value: float, style: str = "decimal") -> str:
     elif style != "decimal":
         raise ValueError(f"unknown number style {style!r}")
     return f"{value:.12g}"
+
+
+def _g6_lines(values: np.ndarray) -> str:
+    """``"%.6g\\n" % v`` for each value of a float64 array, joined: the same
+    text byte for byte, from a few whole-array passes.
+
+    A value in fixed notation (decimal exponent -4 to 5) takes the fast path:
+    s = v * 10**(5 - e), e = floor(log10(v)), scales by an exact power of ten,
+    so its one IEEE rounding errs by at most 1e6 * 2**-53 ~ 1.1e-10, and
+    rint(s) is the six digits when s is in [1e5, 999999.5) and more than 1e-6
+    from a rounding tie.  Every other value goes through ``%``: 0, negatives,
+    inf, NaN, scientific notation, a log10 guess that misses, a near tie.  The
+    digits are split out of one int64 word (SWAR: 32-bit lanes, 16-bit lanes,
+    bytes) and laid out by one rule (z leading zeros, the dot at q, trailing
+    zeros cut) in 16 little-endian bytes, NUL-padded up to a final newline.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    clamped = np.fmin(np.fmax(v, 1e-4), 999999.0)  # NaN becomes 1e-4
+    e = np.floor(np.log10(clamped)).astype(np.int64)  # in -5..5
+    s = clamped * _POWERS_OF_TEN[5 - e]
+    r = np.rint(s)
+    fast = (clamped == v) & (s >= 1e5) & (r < 1e6) & (np.abs(s - r) < 0.5 - 1e-6)
+    w = r.astype(np.int64)  # then 00d1d2|d3d4d5d6, 00|d1d2|d3d4|d5d6, 0|0|d1|..|d6, low lane first
+    w = (w << 32) - (w // 10000) * ((10000 << 32) - 1)
+    w = (w << 16) - ((w * 5243 >> 19) & 0x7F0000007F) * 6553599
+    w = (w << 8) - ((w * 103 >> 10) & 0xF000F000F000F) * 2559
+    digits = w >> 16
+    nonzero = (digits + 0x7F7F7F7F7F7F) & 0x808080808080  # the top bit of each nonzero digit
+    significant = np.frexp(nonzero.astype(float))[1] >> 3  # digits up to the last nonzero one
+    z, q = np.clip(-e, 0, 4), np.maximum(e, 0) + 1  # z zeros lead; the dot goes at q
+    digits |= 0x303030303030 & (1 << 8 * np.maximum(significant, q - z)) - 1
+    lo = (digits << 8 * z) | (0x30303030 >> 32 - 8 * z)
+    moved = lo >> 8 * q << 8 * q  # the bytes from q on move up one for the dot
+    words = np.empty((len(v), 2), dtype="<u8")
+    words[:, 0] = lo + moved * 255 + ((z + significant > q) * 0x2E << 8 * q)
+    words[:, 1] = (digits >> 56 - 8 * z >> 8 << 8) | (lo >> 56)  # lo's lost bytes; no shift by 64
+    text = words.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        lines = ["%.6g" % value for value in v[slow].tolist()]
+        text[slow] = np.array(lines, dtype="S16").view(np.uint8).reshape(-1, 16)
+    text[:, 15] = 10
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _csv_rows(text: str, first_line: int = 1) -> list[tuple[int, list[str]]]:

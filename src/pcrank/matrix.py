@@ -130,12 +130,6 @@ class PCMatrix:
     def n(self) -> int:
         return len(self.array)
 
-    def value(self, i: int, j: int) -> Entry:
-        return self.entries[i][j]
-
-    def defined(self, i: int, j: int) -> bool:
-        return bool(self.mask[i, j])
-
     @property
     def is_complete(self) -> bool:
         return bool(self.mask.all())
@@ -171,7 +165,7 @@ class Partition:
         try:
             k = operator.index(self.k)
         except TypeError:
-            k = 0
+            raise StructureError(f"k must be an integer, got {self.k!r}") from None
         if k < 1:
             raise StructureError(
                 "every alternative already has a known priority; nothing to compute"

@@ -43,6 +43,15 @@ from pcrank import (
 Rows = list[list[float | None]]
 
 
+def entry_at(matrix: PCMatrix, i: int, j: int) -> float | None:
+    """Cell (i, j) of the matrix, or MISSING: one cell, for the loops here."""
+    return matrix.entries[i][j]
+
+
+def is_defined(matrix: PCMatrix, i: int, j: int) -> bool:
+    return bool(matrix.mask[i, j])
+
+
 def ratio_rows(v) -> Rows:
     """Fully consistent comparison grid c_ij = v_i / v_j."""
     return [[float(a) / float(b) for b in v] for a in v]
@@ -126,8 +135,8 @@ def arithmetic_residual(matrix: PCMatrix, k: int, values) -> float:
     w_i = mean(c_ij * w_j over defined j != i), for the unknown rows."""
     worst = 0.0
     for i in range(k):
-        defined = [j for j in range(matrix.n) if j != i and matrix.defined(i, j)]
-        mean = sum(matrix.value(i, j) * values[j] for j in defined) / len(defined)
+        defined = [j for j in range(matrix.n) if j != i and is_defined(matrix, i, j)]
+        mean = sum(entry_at(matrix, i, j) * values[j] for j in defined) / len(defined)
         worst = max(worst, abs(values[i] - mean) / abs(values[i]))
     return worst
 
@@ -137,11 +146,11 @@ def geometric_residual(matrix: PCMatrix, k: int, values) -> float:
     w_i ** (#defined) = prod(c_ij * w_j over defined j != i)."""
     worst = 0.0
     for i in range(k):
-        defined = [j for j in range(matrix.n) if j != i and matrix.defined(i, j)]
+        defined = [j for j in range(matrix.n) if j != i and is_defined(matrix, i, j)]
         lhs = values[i] ** len(defined)
         rhs = 1.0
         for j in defined:
-            rhs *= matrix.value(i, j) * values[j]
+            rhs *= entry_at(matrix, i, j) * values[j]
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
     return worst
 
@@ -173,15 +182,15 @@ def arithmetic_system_loops(matrix: PCMatrix, partition: Partition):
     coeff = np.zeros((k, k))
     constants = np.zeros(k)
     for i in range(k):
-        denom = float(sum(1 for j in range(n) if j != i and matrix.defined(i, j)))
+        denom = float(sum(1 for j in range(n) if j != i and is_defined(matrix, i, j)))
         coeff[i, i] = 1.0
         for j in range(k):
-            if j != i and matrix.defined(i, j):
-                coeff[i, j] = -(matrix.value(i, j) / denom)
+            if j != i and is_defined(matrix, i, j):
+                coeff[i, j] = -(entry_at(matrix, i, j) / denom)
         acc = 0.0
         for j in range(k, n):
-            if matrix.defined(i, j):
-                acc += matrix.value(i, j) * partition.known[j - k]
+            if is_defined(matrix, i, j):
+                acc += entry_at(matrix, i, j) * partition.known[j - k]
         constants[i] = acc / denom
     return coeff, constants
 
@@ -195,14 +204,14 @@ def geometric_system_loops(matrix: PCMatrix, partition: Partition, log_base: flo
     for i in range(k):
         acc = 0.0
         for j in range(n):
-            if j == i or not matrix.defined(i, j):
+            if j == i or not is_defined(matrix, i, j):
                 continue
             coeff[i, i] += 1.0
             if j < k:
                 coeff[i, j] = -1.0
-                acc += math.log(matrix.value(i, j))
+                acc += math.log(entry_at(matrix, i, j))
             else:
-                acc += math.log(matrix.value(i, j) * partition.known[j - k])
+                acc += math.log(entry_at(matrix, i, j) * partition.known[j - k])
         constants[i] = acc / math.log(log_base)
     return coeff, constants
 
@@ -234,10 +243,10 @@ def triad_deviations_loops(matrix: PCMatrix, tol: float):
     triple i < j < k whose |c_ij - c_ik * c_kj| / c_ij exceeds ``tol``."""
     out = []
     for i, j, k in combinations(range(matrix.n), 3):
-        if not (matrix.defined(i, j) and matrix.defined(i, k) and matrix.defined(k, j)):
+        if not (is_defined(matrix, i, j) and is_defined(matrix, i, k) and is_defined(matrix, k, j)):
             continue
-        direct = matrix.value(i, j)
-        deviation = abs(direct - matrix.value(i, k) * matrix.value(k, j)) / direct
+        direct = entry_at(matrix, i, j)
+        deviation = abs(direct - entry_at(matrix, i, k) * entry_at(matrix, k, j)) / direct
         if deviation > tol:
             out.append((i, j, k, deviation))
     return out
@@ -399,7 +408,7 @@ def serialize_problem_cells(problem: Problem, fmt: str = "csv", number_style: st
     known = dict(problem.known)
 
     def cell(a: str, b: str):
-        return problem.matrix.value(position[a], position[b])
+        return entry_at(problem.matrix, position[a], position[b])
 
     if fmt == "csv":
         out = io.StringIO()

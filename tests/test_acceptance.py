@@ -34,6 +34,7 @@ from pcrank.cli import main
 
 from helpers import (
     arithmetic_residual,
+    entry_at,
     geometric_residual,
     random_instance,
     ratio_rows,
@@ -104,7 +105,7 @@ def test_c03_reduction_to_complete_form():
         ari = build_arithmetic_system(matrix, partition)
         expected_coeff = np.array(
             [
-                [1.0 if i == j else -(matrix.value(i, j) / float(n - 1)) for j in range(k)]
+                [1.0 if i == j else -(entry_at(matrix, i, j) / float(n - 1)) for j in range(k)]
                 for i in range(k)
             ]
         )
@@ -112,7 +113,7 @@ def test_c03_reduction_to_complete_form():
         for i in range(k):
             acc = 0.0
             for j in range(k, n):
-                acc += matrix.value(i, j) * partition.known[j - k]
+                acc += entry_at(matrix, i, j) * partition.known[j - k]
             expected_constants.append(acc / float(n - 1))
         assert np.array_equal(ari.coeff, expected_coeff)
         assert np.array_equal(ari.constants, np.array(expected_constants))

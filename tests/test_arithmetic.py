@@ -22,7 +22,9 @@ from pcrank import (
 from helpers import (
     arithmetic_residual,
     arithmetic_system_loops,
+    entry_at,
     instances,
+    is_defined,
     random_instance,
     ratio_rows,
     rng_for,
@@ -70,7 +72,7 @@ class TestBuild:
             expected_coeff = np.array(
                 [
                     [
-                        1.0 if i == j else -(matrix.value(i, j) / float(n - 1))
+                        1.0 if i == j else -(entry_at(matrix, i, j) / float(n - 1))
                         for j in range(k)
                     ]
                     for i in range(k)
@@ -80,7 +82,7 @@ class TestBuild:
             for i in range(k):
                 acc = 0.0
                 for j in range(k, n):
-                    acc += matrix.value(i, j) * partition.known[j - k]
+                    acc += entry_at(matrix, i, j) * partition.known[j - k]
                 expected_constants.append(acc / float(n - 1))
             assert np.array_equal(system.coeff, expected_coeff)
             assert np.array_equal(system.constants, np.array(expected_constants))
@@ -105,12 +107,12 @@ class TestBuild:
                 for j in range(k):
                     if i == j:
                         continue
-                    if matrix.defined(i, j):
+                    if is_defined(matrix, i, j):
                         assert system.coeff[i][j] < 0.0
                     else:
                         assert system.coeff[i][j] == 0.0
                 has_known_comparison = any(
-                    matrix.defined(i, j) for j in range(k, n)
+                    is_defined(matrix, i, j) for j in range(k, n)
                 )
                 assert system.constants[i] >= 0.0
                 assert (system.constants[i] == 0.0) == (not has_known_comparison)

@@ -584,46 +584,12 @@ def test_check_matches_row_reference(problem_text, tol):
     assert report.triad_deviations == tuple(triad_deviations_loops(problem.matrix, tol))
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-@pytest.mark.parametrize("to_file", [False, True])
-def test_check_listing_across_chunk_boundaries(offset, to_file, tmp_path, capsys, monkeypatch):
-    """The listing is written in pieces of ``_LISTING_CHUNK`` rows; with the
-    deviation count one below, at and one above the piece size, stdout and
-    ``--output`` hold the report built one line per finding."""
-    rng = np.random.default_rng(3)
-    n = 7
-    rows = [["1"] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = float(rng.uniform(0.2, 5.0))
-            rows[i][j], rows[j][i] = repr(value), repr(1.0 / value)
-    text = "label," + ",".join(f"x{i}" for i in range(n)) + "\n"
-    text += "".join(f"x{i}," + ",".join(row) + "\n" for i, row in enumerate(rows))
-    text += "\nlabel,priority\nx0,1\n"
-    problem = parse_problem(text)
-    expected, code = check_report_rows(problem, 1e-9)
-    deviations = len(triad_deviations_loops(problem.matrix, 1e-9))
-    assert deviations > 2
-    monkeypatch.setattr(cli, "_LISTING_CHUNK", deviations - offset)
-    argv = ["check", write(tmp_path, "noisy.csv", text)]
-    if to_file:
-        argv += ["--output", str(tmp_path / "report.txt")]
-    assert main(argv) == code == 1
-    out = capsys.readouterr().out
-    if to_file:
-        assert out == ""
-        out = (tmp_path / "report.txt").read_text(encoding="utf-8")
-    assert out == expected
-
-
-@pytest.mark.parametrize("to_file", [False, True])
-def test_check_listing_labels_like_format_codes(to_file, tmp_path, capsys, monkeypatch):
-    """Labels are baked into the listing's format string: ones that read as
-    %-codes print verbatim, also with a piece boundary inside a run of rows
-    that share their first two labels."""
-    labels = ["%s", "%%", "100%", "%(x)s", "%.6g", "a,b"]
+def noisy_problem_text(labels, known: str, seed: int) -> str:
+    """A complete reciprocal CSV problem over ``labels`` with random ratios,
+    so nearly every triad deviates, and ``known`` fixed at 1; a label with a
+    comma is quoted."""
     fields = [f'"{label}"' if "," in label else label for label in labels]
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     n = len(labels)
     rows = [["1"] * n for _ in range(n)]
     for i in range(n):
@@ -632,23 +598,73 @@ def test_check_listing_labels_like_format_codes(to_file, tmp_path, capsys, monke
             rows[i][j], rows[j][i] = repr(value), repr(1.0 / value)
     text = "label," + ",".join(fields) + "\n"
     text += "".join(f"{fields[i]}," + ",".join(row) + "\n" for i, row in enumerate(rows))
-    text += "\nlabel,priority\n100%,1\n"
-    problem = parse_problem(text)
-    expected, code = check_report_rows(problem, 1e-9)
-    i, j, _, _ = diagnose(problem.matrix, tol=1e-9).triad_columns
-    chunk = 3  # the second piece starts within the first run
-    assert (i[chunk - 1], j[chunk - 1]) == (i[chunk], j[chunk])
-    monkeypatch.setattr(cli, "_LISTING_CHUNK", chunk)
-    argv = ["check", write(tmp_path, "labels.csv", text)]
+    return text + f"\nlabel,priority\n{known},1\n"
+
+
+def check_output(text: str, to_file: bool, tmp_path, capsys) -> tuple[int, str]:
+    """The exit code of ``check`` on ``text`` and the report it writes to
+    stdout, or to ``--output`` (stdout then stays empty)."""
+    argv = ["check", write(tmp_path, "input.csv", text)]
     if to_file:
         argv += ["--output", str(tmp_path / "report.txt")]
-    assert main(argv) == code == 1
+    code = main(argv)
     out = capsys.readouterr().out
     if to_file:
         assert out == ""
         out = (tmp_path / "report.txt").read_text(encoding="utf-8")
-    assert out == expected
-    assert "  (%s, %%, " in out
+    return code, out
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_check_listing_across_chunk_boundaries(offset, to_file, tmp_path, capsys, monkeypatch):
+    """The listing is written in pieces of ``_LISTING_CHUNK`` rows; with the
+    deviation count one below, at and one above the piece size, stdout and
+    ``--output`` hold the report built one line per finding."""
+    text = noisy_problem_text([f"x{i}" for i in range(7)], "x0", seed=3)
+    problem = parse_problem(text)
+    expected, code = check_report_rows(problem, 1e-9)
+    deviations = len(triad_deviations_loops(problem.matrix, 1e-9))
+    assert deviations > 2 and code == 1
+    monkeypatch.setattr(cli, "_LISTING_CHUNK", deviations - offset)
+    assert check_output(text, to_file, tmp_path, capsys) == (code, expected)
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_check_listing_labels_like_format_codes(to_file, tmp_path, capsys, monkeypatch):
+    """Labels that read as %-codes print verbatim, also with a piece
+    boundary inside a run of rows that share their first two labels."""
+    text = noisy_problem_text(["%s", "%%", "100%", "%(x)s", "%.6g", "a,b"], "100%", seed=5)
+    problem = parse_problem(text)
+    expected, code = check_report_rows(problem, 1e-9)
+    assert code == 1 and "  (%s, %%, " in expected
+    i, j, _, _ = diagnose(problem.matrix, tol=1e-9).triad_columns
+    chunk = 3  # the second piece starts within the first run
+    assert (i[chunk - 1], j[chunk - 1]) == (i[chunk], j[chunk])
+    monkeypatch.setattr(cli, "_LISTING_CHUNK", chunk)
+    assert check_output(text, to_file, tmp_path, capsys) == (code, expected)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        pytest.param(["a\x0bb", "c\x0cd", "e\x1cf", "g\x85h", "i\u2028j", "k"], id="line-breaks"),
+        pytest.param(["é", "名", "a\u2028b", "c\x1cd", "x", "k"], id="non-ascii"),
+    ],
+)
+@pytest.mark.parametrize("to_file", [False, True])
+def test_check_listing_labels_print_verbatim(labels, to_file, tmp_path, capsys, monkeypatch):
+    """Labels holding characters that ``str.splitlines`` splits on, and
+    non-ASCII labels, print verbatim: only the deviations' own text is split
+    into lines, also across the boundaries of pieces and of kernel calls."""
+    text = noisy_problem_text(labels, "k", seed=7)
+    problem = parse_problem(text)
+    assert problem.labels == tuple(labels)
+    expected, code = check_report_rows(problem, 1e-9)
+    assert code == 1 and f"  ({labels[0]}, {labels[1]}, {labels[2]}): deviation " in expected
+    assert len(triad_deviations_loops(problem.matrix, 1e-9)) > 8  # two kernel calls at least
+    monkeypatch.setattr(cli, "_LISTING_CHUNK", 2)
+    assert check_output(text, to_file, tmp_path, capsys) == (code, expected)
 
 
 class TestByteOrderMark:

@@ -24,6 +24,8 @@ from pcrank.formats import serialize_table
 
 from helpers import (
     ODD_TOKENS,
+    entry_at,
+    is_defined,
     json_grid_cells,
     parse_problem_cells,
     parse_value_regex,
@@ -106,9 +108,9 @@ class TestParseProblem:
             assert problem.labels == ("a", "b", "c")  # already canonical
             assert problem.k == 2
             assert problem.known == (("c", 1.0),)
-            assert problem.matrix.value(0, 1) == 2.0
-            assert problem.matrix.value(1, 0) == 0.5
-            assert not problem.matrix.defined(1, 2)
+            assert entry_at(problem.matrix, 0, 1) == 2.0
+            assert entry_at(problem.matrix, 1, 0) == 0.5
+            assert not is_defined(problem.matrix, 1, 2)
             assert problem.partition.k == 2
 
     def test_canonical_reordering_moves_knowns_last(self):
@@ -125,9 +127,9 @@ class TestParseProblem:
         assert problem.k == 2
         # Permutation must carry the cells along: c(x,y)=2 in file order.
         pos = {label: i for i, label in enumerate(problem.labels)}
-        assert problem.matrix.value(pos["x"], pos["y"]) == 2.0
-        assert problem.matrix.value(pos["z"], pos["y"]) == pytest.approx(1 / 3)
-        assert problem.matrix.value(pos["x"], pos["z"]) == 6.0
+        assert entry_at(problem.matrix, pos["x"], pos["y"]) == 2.0
+        assert entry_at(problem.matrix, pos["z"], pos["y"]) == pytest.approx(1 / 3)
+        assert entry_at(problem.matrix, pos["x"], pos["z"]) == 6.0
 
     def test_permutation_preserves_comparison_graph(self):
         rng = rng_for(71)
@@ -151,7 +153,7 @@ class TestParseProblem:
             pos = {label: i for i, label in enumerate(problem.labels)}
             for i, a in enumerate(labels):
                 for j, b in enumerate(labels):
-                    assert problem.matrix.value(pos[a], pos[b]) == rows[i][j]
+                    assert entry_at(problem.matrix, pos[a], pos[b]) == rows[i][j]
 
     def test_asymmetric_missingness_is_a_value_error(self):
         text = '{"alternatives": ["a", "b"], "matrix": [[1, 3], ["?", 1]]}'
@@ -161,10 +163,10 @@ class TestParseProblem:
     def test_force_reciprocal_rebuilds_lower_triangle(self):
         text = "label,a,b\na,1,4\nb,9,1\n"
         problem = parse_problem(text, "csv", force_reciprocal=True)
-        assert problem.matrix.value(1, 0) == 0.25
+        assert entry_at(problem.matrix, 1, 0) == 0.25
         asym = '{"alternatives": ["a", "b"], "matrix": [[1, 3], ["?", 1]]}'
         repaired = parse_problem(asym, "json", force_reciprocal=True)
-        assert repaired.matrix.value(1, 0) == pytest.approx(1 / 3)
+        assert entry_at(repaired.matrix, 1, 0) == pytest.approx(1 / 3)
 
     def test_force_reciprocal_keeps_lower_cell_of_nonpositive_upper(self):
         # Canonical order is (b, a), so the kept lower cell comes first.
@@ -709,8 +711,8 @@ class TestSerialize:
                 assert again.known == problem.known
                 for i in range(n):
                     for j in range(n):
-                        a = problem.matrix.value(i, j)
-                        b = again.matrix.value(i, j)
+                        a = entry_at(problem.matrix, i, j)
+                        b = entry_at(again.matrix, i, j)
                         if a is MISSING:
                             assert b is MISSING
                         else:
@@ -858,3 +860,59 @@ def test_unknown_format_is_a_value_error(call):
     with pytest.raises(ValueError) as got:
         call()
     assert str(got.value) == "unknown format 'xml'"
+
+
+def g6_reference(values) -> str:
+    return "".join("%.6g\n" % value for value in np.asarray(values, dtype=float).tolist())
+
+
+_bit_patterns = st.integers(0, 2**64 - 1).map(lambda bits: np.uint64(bits).view(np.float64).item())
+_spread = st.floats(-25.0, 25.0).map(math.exp)  # log drawn, so many decades are covered
+_ties = st.builds(  # the floats nearest the 7-digit decimal ties (10 m + 5) 10**e
+    lambda m, e: float(f"{10 * m + 5}e{e}"), st.integers(10**5, 10**6 - 1), st.integers(-12, 2)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), _bit_patterns, _spread, _ties), max_size=200))
+def test_g6_kernel_matches_percent_format(values):
+    """Both signs, 0, subnormals, inf and NaN (``st.floats`` and raw bit
+    patterns), values over many decades, and near ties."""
+    assert formats._g6_lines(np.array(values, dtype=float)) == g6_reference(values)
+
+
+def test_g6_kernel_on_bulk_draws():
+    """Log-normal values, raw bit patterns and decimal ties, 100,000 each,
+    through the fast path and the fallback in one array."""
+    rng = np.random.default_rng(16)
+    m, e = rng.integers(10**5, 10**6, 100_000), rng.integers(-12, 3, 100_000)
+    values = np.concatenate([
+        rng.lognormal(0.0, 5.0, 100_000),
+        rng.integers(0, 2**64 - 1, 100_000, dtype=np.uint64).view(np.float64),
+        [float(f"{10 * a + 5}e{b}") for a, b in zip(m.tolist(), e.tolist())],
+    ])
+    rng.shuffle(values)
+    assert formats._g6_lines(values) == g6_reference(values)
+
+
+_POWERS = 10.0 ** np.arange(-8, 9)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        pytest.param([], id="empty"),
+        pytest.param([1e-4, 9.999995e-5, 1e-5], id="fixed-notation-floor"),
+        pytest.param([0.5, 9.5, 123456.5, 999999.5, 1e6], id="ties-and-carry"),
+        pytest.param([100.0, 120.0, 0.00012, 999999.0, 1.0], id="integer-part-zeros"),
+        pytest.param(np.nextafter(_POWERS, 0.0), id="below-powers-of-ten"),
+        pytest.param(_POWERS, id="powers-of-ten"),
+        pytest.param(np.nextafter(_POWERS, math.inf), id="above-powers-of-ten"),
+        pytest.param(
+            [0.0, -0.0, -1.5, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308],
+            id="special",
+        ),
+    ],
+)
+def test_g6_kernel_fixed_values(values):
+    assert formats._g6_lines(np.array(values, dtype=float)) == g6_reference(values)

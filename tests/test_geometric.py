@@ -21,6 +21,7 @@ from helpers import (
     geometric_residual,
     geometric_system_loops,
     instances,
+    is_defined,
     random_instance,
     rng_for,
 )
@@ -72,7 +73,7 @@ class TestBuild:
         system = build_geometric_system(matrix, partition)
         for i in range(partition.k):
             defined = sum(
-                1 for j in range(matrix.n) if j != i and matrix.defined(i, j)
+                1 for j in range(matrix.n) if j != i and is_defined(matrix, i, j)
             )
             assert system.coeff[i][i] == float(defined)
 

@@ -31,7 +31,9 @@ from pcrank import (
 )
 from helpers import (
     drop_pairs,
+    entry_at,
     instances,
+    is_defined,
     pcmatrix_error_loops,
     perturbed_rows,
     random_instance,
@@ -136,7 +138,7 @@ class TestConstruction:
         grid = np.array([[1.0, 2.0, np.nan], [0.5, 1.0, 4.0], [np.nan, 0.25, 1.0]])
         m = PCMatrix(grid)
         grid[0, 1], grid[0, 2] = 7.0, 3.0
-        assert m.value(0, 1) == 2.0 and not m.defined(0, 2)
+        assert entry_at(m, 0, 1) == 2.0 and not is_defined(m, 0, 2)
         assert m == PCMatrix(((1, 2, MISSING), (0.5, 1, 4), (MISSING, 0.25, 1)))
 
     def test_missing_pairs_listed(self):
@@ -272,7 +274,7 @@ class TestConsistency:
         fully_defined = sum(
             1
             for a, b, c in combinations(range(4), 3)
-            if all(m.defined(x, y) for x, y in [(a, b), (a, c), (b, c)])
+            if all(is_defined(m, x, y) for x, y in [(a, b), (a, c), (b, c)])
         )
         assert fully_defined == 2
         assert len(check_consistency(m, 1e-9)) == fully_defined
@@ -487,12 +489,12 @@ class TestFillMissing:
     def test_fills_with_value_ratios(self):
         m = PCMatrix(((1, 2, MISSING), (0.5, 1, MISSING), (MISSING, MISSING, 1)))
         filled = fill_missing(m, (4.0, 2.0, 1.0))
-        assert filled.value(0, 2) == 4.0
-        assert filled.value(2, 0) == 0.25
-        assert filled.value(1, 2) == 2.0
+        assert entry_at(filled, 0, 2) == 4.0
+        assert entry_at(filled, 2, 0) == 0.25
+        assert entry_at(filled, 1, 2) == 2.0
         assert filled.is_complete
         # defined entries untouched
-        assert filled.value(0, 1) == 2.0
+        assert entry_at(filled, 0, 1) == 2.0
 
     def test_complete_matrix_unchanged(self):
         m = rows_to_matrix(ratio_rows([3.0, 2.0, 1.0]))
@@ -525,7 +527,7 @@ class TestTypes:
     def test_partition_accepts_numpy_integers(self):
         p = Partition(np.int64(2), (1.0,))
         assert p.k == 2 and type(p.k) is int and p.n == 3
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match=r"^k must be an integer, got 2\.0$"):
             Partition(2.0, (1.0,))
 
     def test_ranking_takes_k_as_an_index(self):
@@ -595,7 +597,7 @@ class TestInputRuleMessages:
             pytest.param(0, (), NO_KNOWN, id="no-known-before-k"),
             pytest.param(2, (), NO_KNOWN, id="no-known"),
             pytest.param(0, (1.0,), NO_UNKNOWN, id="no-unknown"),
-            pytest.param(2.0, (1.0,), NO_UNKNOWN, id="float-k"),
+            pytest.param(2.0, (1.0,), "k must be an integer, got 2.0", id="float-k"),
             pytest.param(
                 0, (1.0, -1.0), "known priority #1 must be positive and finite, got -1.0",
                 id="bad-value-before-k",
