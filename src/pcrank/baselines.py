@@ -20,6 +20,8 @@ import numpy as np
 from .errors import IncompleteMatrixError, NoConvergenceError
 from .matrix import PCMatrix
 
+_MAX_ITERATIONS = 10000  # evm's power-iteration budget
+
 
 @dataclass(frozen=True)
 class BaselineResult:
@@ -46,21 +48,21 @@ def _as_array(matrix: PCMatrix) -> np.ndarray:
 
 
 @np.errstate(over="ignore")  # a sum past the float range is inf, which raises below
-def evm(matrix: PCMatrix, max_iter: int = 10000, conv_tol: float = 1e-12) -> BaselineResult:
+def evm(matrix: PCMatrix) -> BaselineResult:
     """Eigenvalue-method weights: the sum-normalized principal eigenvector.
 
     Power iteration starting from the uniform vector; positive matrices make
     it converge geometrically, so no general eigensolver is needed.  Stops
-    when successive sum-normalized iterates agree to ``conv_tol`` in
-    max-norm, and raises :class:`NoConvergenceError` at the first iterate
-    whose sum leaves the float range.  The spectral radius is estimated by
-    the Rayleigh quotient; for a reciprocal matrix it is >= n, with equality
-    exactly on consistent input (useful as a diagnostic).
+    when successive sum-normalized iterates agree to 1e-12 in max-norm, and
+    raises :class:`NoConvergenceError` after 10,000 iterations or at the
+    first iterate whose sum leaves the float range.  The spectral radius is
+    estimated by the Rayleigh quotient; for a reciprocal matrix it is >= n,
+    with equality exactly on consistent input (useful as a diagnostic).
     """
     a = _as_array(matrix)
     n = a.shape[0]
     v = np.full(n, 1.0 / n)
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         y = a @ v
         total = y.sum()
         if not total < math.inf:
@@ -68,7 +70,7 @@ def evm(matrix: PCMatrix, max_iter: int = 10000, conv_tol: float = 1e-12) -> Bas
         nxt = y / total
         delta = float(np.abs(nxt - v).max())
         v = nxt
-        if delta < conv_tol:
+        if delta < 1e-12:
             av = a @ v
             lam = float(v @ av / (v @ v))
             return BaselineResult(
@@ -77,7 +79,7 @@ def evm(matrix: PCMatrix, max_iter: int = 10000, conv_tol: float = 1e-12) -> Bas
                 spectral_radius=lam,
                 iterations=iteration,
             )
-    raise NoConvergenceError(f"power iteration did not converge in {max_iter} iterations")
+    raise NoConvergenceError(f"power iteration did not converge in {_MAX_ITERATIONS} iterations")
 
 
 def gmm(matrix: PCMatrix) -> BaselineResult:

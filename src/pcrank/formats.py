@@ -135,13 +135,13 @@ def _limit_denominator(value: float, max_denominator: int) -> tuple[int, int]:
 def format_value(value: float, style: str = "decimal") -> str:
     """Render a value with 12 significant digits, or as ``p/q`` when the
     fraction style is selected and the value is (up to rounding) a ratio of
-    small integers."""
-    if style == "fraction":
+    small integers.  Both styles print inf and NaN as ``%.12g`` does."""
+    if style not in ("decimal", "fraction"):
+        raise ValueError(f"unknown number style {style!r}")
+    if style == "fraction" and math.isfinite(value):
         p, q = _limit_denominator(value, _MAX_DENOMINATOR)
         if p > 0 and abs(p / q - value) <= _FRACTION_TOL * max(1.0, abs(value)):
             return str(p) if q == 1 else f"{p}/{q}"
-    elif style != "decimal":
-        raise ValueError(f"unknown number style {style!r}")
     return f"{value:.12g}"
 
 
@@ -181,9 +181,8 @@ def _g6_lines(values: np.ndarray) -> str:
     words[:, 1] = (digits >> 56 - 8 * z >> 8 << 8) | (lo >> 56)  # lo's lost bytes; no shift by 64
     text = words.view(np.uint8)
     slow = np.flatnonzero(~fast)
-    if len(slow):
-        lines = ["%.6g" % value for value in v[slow].tolist()]
-        text[slow] = np.array(lines, dtype="S16").view(np.uint8).reshape(-1, 16)
+    lines = ["%.6g" % value for value in v[slow].tolist()]
+    text[slow] = np.array(lines, dtype="S16").view(np.uint8).reshape(-1, 16)
     text[:, 15] = 10
     return text.tobytes().translate(None, b"\0").decode("ascii")
 
@@ -343,11 +342,10 @@ def _parse_csv_problem(text: str) -> tuple[list[str], np.ndarray, dict[str, floa
 def _json_cell(cell, where: str) -> Entry:
     if isinstance(cell, str):
         return parse_value(cell)
-    if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-        value = float(cell)
-        if not math.isfinite(value):
+    if type(cell) is float:  # json.loads(..., parse_int=float) yields no int
+        if not math.isfinite(cell):
             raise ParseError(f"{where}: value {cell!r} is not finite")
-        return value
+        return cell
     raise ParseError(f"{where}: expected a number, a fraction string, or \"?\", got {cell!r}")
 
 

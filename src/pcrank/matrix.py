@@ -79,6 +79,8 @@ class PCMatrix:
         array_form = isinstance(entries, np.ndarray)
         if array_form and entries.ndim != 2:
             raise StructureError(f"expected a 2-D array, got {entries.ndim} dimension(s)")
+        if array_form and entries.dtype.kind == "c":  # the cast would drop the imaginary parts
+            raise StructureError(f"expected a real array, got dtype {entries.dtype}")
         if array_form and len(entries) == 0 < entries.shape[1]:  # no row 0 to name
             raise StructureError(f"expected a square array, got shape {entries.shape}")
         rows = np.array(entries, float, order="C") if array_form else [tuple(r) for r in entries]
@@ -140,12 +142,18 @@ class PCMatrix:
 
 
 def _positive_finite(values: Iterable[float], noun: str) -> tuple[float, ...]:
-    """``values`` as floats, each positive and finite, or a StructureError."""
-    values = tuple(float(v) for v in values)
-    for idx, v in enumerate(values):
+    """``values`` as floats, each positive and finite, or a StructureError
+    naming the first that is not (as given, when ``float`` rejects it)."""
+    floats = []
+    for idx, given in enumerate(values):
+        try:
+            v = shown = float(given)
+        except (TypeError, ValueError, OverflowError):
+            v, shown = math.nan, given
         if not math.isfinite(v) or v <= 0.0:
-            raise StructureError(f"{noun} #{idx} must be positive and finite, got {v!r}")
-    return values
+            raise StructureError(f"{noun} #{idx} must be positive and finite, got {shown!r}")
+        floats.append(v)
+    return tuple(floats)
 
 
 @dataclass(frozen=True)
@@ -296,13 +304,10 @@ def _triad_columns(matrix: PCMatrix, tol: float):
         counts.append(len(hits))
         for column, values in zip(pieces, (js[hits], ks[hits], deviation[hits])):
             column.append(values)
-    columns = [np.repeat(np.arange(len(counts), dtype=np.intp), counts)]
-    for column in pieces:  # joined one at a time, freeing its pieces, to bound peak memory
-        columns.append(np.concatenate(column))
-        column.clear()
+    columns = np.repeat(np.arange(len(counts), dtype=np.intp), counts), *map(np.concatenate, pieces)
     for column in columns:
         column.flags.writeable = False
-    return tuple(columns)
+    return columns
 
 
 def _triad_rows(columns):

@@ -12,6 +12,7 @@ from pcrank import (
     solve_arithmetic,
     solve_geometric,
 )
+from pcrank import baselines
 
 from helpers import perturbed_rows, ratio_rows, rng_for, rows_to_matrix
 
@@ -86,11 +87,12 @@ class TestEvm:
         with pytest.raises(IncompleteMatrixError):
             evm(m)
 
-    def test_iteration_budget(self):
+    def test_iteration_budget(self, monkeypatch):
         rng = rng_for(64)
         rows = perturbed_rows(rng.uniform(0.5, 3.0, size=5), rng)
+        monkeypatch.setattr(baselines, "_MAX_ITERATIONS", 1)
         with pytest.raises(NoConvergenceError):
-            evm(rows_to_matrix(rows), max_iter=1)
+            evm(rows_to_matrix(rows))
 
     def test_overflow_stops_at_the_first_iterate(self):
         # The first product a @ v sums past the float range.

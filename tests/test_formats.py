@@ -640,6 +640,8 @@ class TestSerialize:
         assert format_value(0.5, "fraction") == "1/2"
         assert format_value(2.0, "fraction") == "2"
         assert format_value(math.pi, "fraction") == f"{math.pi:.12g}"
+        for value, text in [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")]:
+            assert format_value(value) == format_value(value, "fraction") == text
         with pytest.raises(ValueError):
             format_value(1.0, "roman")
 

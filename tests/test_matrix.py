@@ -605,6 +605,12 @@ class TestInputRuleMessages:
             pytest.param(
                 1, (math.nan,), "known priority #0 must be positive and finite, got nan", id="nan"
             ),
+            pytest.param(
+                1, ("a",), "known priority #0 must be positive and finite, got 'a'", id="string"
+            ),
+            pytest.param(
+                1, (None,), "known priority #0 must be positive and finite, got None", id="none"
+            ),
         ],
     )
     def test_partition_messages_in_order(self, k, known, message):
@@ -634,11 +640,17 @@ class TestInputRuleMessages:
         with pytest.raises(StructureError) as got:
             fill_missing(m, (1.0, -2.0))
         assert str(got.value) == "fill value #1 must be positive and finite, got -2.0"
+        with pytest.raises(StructureError) as got:
+            fill_missing(m, (1.0, "a"))
+        assert str(got.value) == "fill value #1 must be positive and finite, got 'a'"
 
     def test_ranking_messages(self):
         with pytest.raises(StructureError) as got:
             Ranking((1.0, math.inf), k=1)
         assert str(got.value) == "ranking value #1 must be positive and finite, got inf"
+        with pytest.raises(StructureError) as got:
+            Ranking(("x", 1.0), 1)
+        assert str(got.value) == "ranking value #0 must be positive and finite, got 'x'"
         for k in (-1, 3):
             with pytest.raises(StructureError) as got:
                 Ranking((1.0, 2.0), k=k)
@@ -648,6 +660,11 @@ class TestInputRuleMessages:
         with pytest.raises(StructureError) as got:
             PCMatrix(np.ones((2, 2, 2)))
         assert str(got.value) == "expected a 2-D array, got 3 dimension(s)"
+
+    def test_complex_array_is_rejected(self):
+        with pytest.raises(StructureError) as got:
+            PCMatrix(np.array([[1, 2 + 1j], [0.5 - 3j, 1]]))
+        assert str(got.value) == "expected a real array, got dtype complex128"
 
     @pytest.mark.parametrize(
         "shape, message",
