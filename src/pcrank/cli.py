@@ -147,41 +147,32 @@ def cmd_check(args) -> int:
     return 0 if report.clean and unusable is None else 1
 
 
-_LISTING_CHUNK = 1 << 12  # rows per joined piece of the triad listing
+_LISTING_CHUNK = 1 << 14  # rows per piece of the triad listing: one kernel call, one join
 
 
 def _triad_listing(labels, columns) -> Iterator[str]:
     """The ``  (a, b, c): deviation d`` lines, in pieces of a bounded number
     of rows, so memory does not grow with the number of deviations.
 
-    A line joins three parts: a head ``"  (a, b, "`` per run of rows sharing
-    ``(i, j)`` (the scan yields rows sorted by i, j, k; a run starts where a
-    row differs from the one before), a tail ``"c): deviation "`` per label,
-    and the deviation's text, which :func:`formats._g6_lines` writes for four
-    pieces at a time, exactly as ``%.6g`` does.  Only that ASCII text is split
-    into lines, so a label may hold any character, line breaks included.  The
-    kernel takes four pieces a call because its per-call cost dominates: in a
-    warm process at n = 120, one call per piece made the listing 1-12% slower.
+    A line joins three parts: a head ``"  (a, b, "`` per distinct ``(i, j)``
+    in the piece (from :func:`np.unique`, so the rows may come in any order),
+    a tail ``"c): deviation "`` per label, and the deviation's text, which
+    :func:`formats._g6_lines` writes for the whole piece in one call, exactly
+    as ``%.6g`` does.  Only that ASCII text is split into lines, so a label
+    may hold any character, line breaks included.
     """
     i, j, k, deviation = columns
+    n = len(labels)
     tails = np.array([f"{label}): deviation " for label in labels], dtype=object)
-    step = 4 * _LISTING_CHUNK  # rows per kernel call: each call costs about 70 us more than %
-    for block in range(0, len(deviation), step):
-        numbers = _g6_lines(deviation[block : block + step]).splitlines(True)
-        for start in range(block, min(block + step, len(deviation)), _LISTING_CHUNK):
-            rows = slice(start, start + _LISTING_CHUNK)
-            first, second = i[rows], j[rows]
-            new_run = np.ones(len(first), dtype=bool)
-            new_run[1:] = (first[1:] != first[:-1]) | (second[1:] != second[:-1])
-            runs = np.flatnonzero(new_run)
-            pairs = zip(first[runs].tolist(), second[runs].tolist())
-            heads = np.array([f"  ({labels[a]}, {labels[b]}, " for a, b in pairs], dtype=object)
-            parts = np.empty(3 * len(first), dtype=object)
-            parts[0::3] = heads[np.cumsum(new_run) - 1]
-            parts[1::3] = tails[k[rows]]
-            joined = parts.tolist()  # a list slice takes the numbers with no conversion
-            joined[2::3] = numbers[start - block : start - block + len(first)]
-            yield "".join(joined)
+    for start in range(0, len(deviation), _LISTING_CHUNK):
+        rows = slice(start, start + _LISTING_CHUNK)
+        pairs, inverse = np.unique(i[rows] * n + j[rows], return_inverse=True)
+        heads = [f"  ({labels[p // n]}, {labels[p % n]}, " for p in pairs.tolist()]
+        parts = [""] * (3 * len(inverse))
+        parts[0::3] = np.array(heads, dtype=object)[inverse].tolist()
+        parts[1::3] = tails[k[rows]].tolist()
+        parts[2::3] = _g6_lines(deviation[rows]).splitlines(True)
+        yield "".join(parts)
 
 
 def cmd_complete(args) -> int:

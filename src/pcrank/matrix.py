@@ -25,7 +25,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -91,8 +91,8 @@ class PCMatrix:
         if array_form:
             a, mask = rows, ~np.isnan(rows)
         else:
-            objects = np.array(rows, dtype=object).reshape(n, n)
-            a, mask = objects.astype(float), np.not_equal(objects, MISSING)
+            values, defined = _cells(np.fromiter((c for row in rows for c in row), object, n * n))
+            a, mask = values.astype(float).reshape(n, n), defined.astype(bool).reshape(n, n)
         bad = mask & ~((a > 0.0) & (a < math.inf))
         bad.flat[:: n + 1] |= a.diagonal() != 1.0  # a missing diagonal cell is NaN, not 1
         if bad.any():
@@ -139,6 +139,16 @@ class PCMatrix:
     def missing_pairs(self) -> list[tuple[int, int]]:
         """Unordered missing pairs as (i, j) with i < j."""
         return [(i, j) for i, j in np.argwhere(np.triu(~self.mask)).tolist()]
+
+
+@partial(np.frompyfunc, nin=1, nout=2)
+def _cells(given) -> tuple[float, bool]:
+    """Each nested-rows cell as ``(float(given), defined)``, with NaN where
+    ``float`` rejects the cell, so that it is reported as given."""
+    try:
+        return float(given), given is not MISSING
+    except (TypeError, ValueError, OverflowError):
+        return math.nan, given is not MISSING
 
 
 def _positive_finite(values: Iterable[float], noun: str) -> tuple[float, ...]:

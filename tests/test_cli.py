@@ -656,14 +656,27 @@ def test_check_listing_labels_like_format_codes(to_file, tmp_path, capsys, monke
 def test_check_listing_labels_print_verbatim(labels, to_file, tmp_path, capsys, monkeypatch):
     """Labels holding characters that ``str.splitlines`` splits on, and
     non-ASCII labels, print verbatim: only the deviations' own text is split
-    into lines, also across the boundaries of pieces and of kernel calls."""
+    into lines, also across the boundaries of pieces."""
     text = noisy_problem_text(labels, "k", seed=7)
     problem = parse_problem(text)
     assert problem.labels == tuple(labels)
     expected, code = check_report_rows(problem, 1e-9)
     assert code == 1 and f"  ({labels[0]}, {labels[1]}, {labels[2]}): deviation " in expected
-    assert len(triad_deviations_loops(problem.matrix, 1e-9)) > 8  # two kernel calls at least
+    assert len(triad_deviations_loops(problem.matrix, 1e-9)) > 8  # five pieces at least
     monkeypatch.setattr(cli, "_LISTING_CHUNK", 2)
+    assert check_output(text, to_file, tmp_path, capsys) == (code, expected)
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_check_listing_at_its_own_piece_size(to_file, tmp_path, capsys):
+    """With ``_LISTING_CHUNK`` as it ships, a listing longer than one piece
+    (every one of n = 50's 19,600 triads deviates) matches the report built
+    one line per finding."""
+    text = noisy_problem_text([f"x{i}" for i in range(50)], "x0", seed=11)
+    problem = parse_problem(text)
+    expected, code = check_report_rows(problem, 1e-9)
+    assert code == 1 and "above tol 1e-09: 19600\n" in expected
+    assert 19600 > cli._LISTING_CHUNK
     assert check_output(text, to_file, tmp_path, capsys) == (code, expected)
 
 

@@ -667,6 +667,26 @@ class TestInputRuleMessages:
         assert str(got.value) == "expected a real array, got dtype complex128"
 
     @pytest.mark.parametrize(
+        "rows, cell, shown",
+        [
+            pytest.param(((1, 2 + 1j), (0.5, 1)), "(0,1)", "(2+1j)", id="complex"),
+            pytest.param(((1, "a"), (0.5, 1)), "(0,1)", "'a'", id="string"),
+            pytest.param(((1, [2]), (0.5, 1)), "(0,1)", "[2]", id="list"),
+            pytest.param((([1, 2], [3, 4]), ([1, 2], [3, 4])), "(0,0)", "[1, 2]", id="nested"),
+            pytest.param(((1, np.ones(2)), (0.5, 1)), "(0,1)", "array([1., 1.])", id="array"),
+            pytest.param(((1, 10**400), (0.5, 1)), "(0,1)", str(10**400), id="huge-int"),
+            pytest.param(((1, 2), ("b", "a")), "(1,0)", "'b'", id="first-in-row-order"),
+        ],
+    )
+    def test_nested_cell_that_is_not_a_number(self, rows, cell, shown):
+        with pytest.raises(StructureError) as got:
+            PCMatrix(rows)
+        assert str(got.value) == f"entry {cell} must be a positive finite number, got {shown}"
+
+    def test_nested_numeric_strings_are_numbers(self):
+        assert PCMatrix(((1, "2"), ("0.5", 1))) == PCMatrix(((1, 2), (0.5, 1)))
+
+    @pytest.mark.parametrize(
         "shape, message",
         [
             ((0, 3), "expected a square array, got shape (0, 3)"),
