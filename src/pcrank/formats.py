@@ -190,6 +190,8 @@ def _g6_lines(values: np.ndarray) -> str:
 def _csv_rows(text: str, first_line: int = 1) -> list[tuple[int, list[str]]]:
     """Stripped cells of each CSV record, with the number of the line it ends
     on; the text, with LF line ends only, starts on line ``first_line``."""
+    if "\0" in text:  # the csv module reads NUL from Python 3.11 on, rejects it before
+        raise ParseError("line contains NUL", text.count("\n", 0, text.index("\0")) + first_line)
     reader = csv.reader(io.StringIO(text))
     offset = first_line - 1
     try:
@@ -258,7 +260,6 @@ def _plain_grid(text: str) -> tuple[list[str], np.ndarray, str] | None:
     if (
         not labels
         or not all(labels)  # also keeps a blank first line out
-        or len(rows) != n
         or len(lines) > n and lines[n].replace(",", "").strip()  # a row after the last
         or '"' in text
         or "\0" in text
@@ -341,7 +342,10 @@ def _parse_csv_problem(text: str) -> tuple[list[str], np.ndarray, dict[str, floa
 
 def _json_cell(cell, where: str) -> Entry:
     if isinstance(cell, str):
-        return parse_value(cell)
+        try:
+            return parse_value(cell)
+        except ParseError as exc:
+            raise ParseError(f"{where}: {exc}") from None
     if type(cell) is float:  # json.loads(..., parse_int=float) yields no int
         if not math.isfinite(cell):
             raise ParseError(f"{where}: value {cell!r} is not finite")
@@ -383,13 +387,17 @@ def _parse_json_problem(text: str) -> tuple[list[str], np.ndarray, dict[str, flo
             raise ParseError(f"matrix row {i} must be an array of {len(labels)} entries")
         # A finite float is kept as it is and each distinct string parsed once;
         # only the other cells go through _json_cell, which rejects a bool
-        # although it equals a float.
-        rows.append([
-            cell if type(cell) is float and math.isfinite(cell)
-            else strings[cell] if type(cell) is str
-            else _json_cell(cell, f"matrix[{i}][{j}]")
-            for j, cell in enumerate(raw)
-        ])
+        # although it equals a float.  After an error the row is read again
+        # through _json_cell alone, which names the bad cell's place.
+        try:
+            rows.append([
+                cell if type(cell) is float and math.isfinite(cell)
+                else strings[cell] if type(cell) is str
+                else _json_cell(cell, f"matrix[{i}][{j}]")
+                for j, cell in enumerate(raw)
+            ])
+        except ParseError:
+            rows.append([_json_cell(cell, f"matrix[{i}][{j}]") for j, cell in enumerate(raw)])
     grid = np.array(rows, dtype=float).reshape(len(labels), len(labels))  # None becomes NaN
     known_obj = obj.get("known", {})
     if not isinstance(known_obj, dict):

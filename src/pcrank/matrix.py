@@ -67,9 +67,12 @@ class TriadDeviation(NamedTuple):
 class PCMatrix:
     """Square grid of positive comparison values with explicit missing cells.
 
-    Built from nested rows with :data:`MISSING` in absent cells (NaN is
-    rejected), or from a 2-D ``float64`` array with NaN in them, which is
-    copied in C order.  The diagonal is fixed at 1.  Every pass reads ``array``
+    Built from one of two forms.  A 2-D int, uint or float array with NaN in
+    absent cells is copied as ``float64`` in C order; any other dtype (object,
+    text, bool, dates, complex) is rejected, so convert an object array with
+    ``.astype(float)`` first.  Nested rows are sequences of cells, not text;
+    a cell is a number, a numeric string or :data:`MISSING` (NaN is
+    rejected).  The diagonal is fixed at 1.  Every pass reads ``array``
     (read-only ``float64``, NaN where missing) and ``mask`` (read-only).
     ``entries[i][j]``, the ratio of ``i`` over ``j`` or :data:`MISSING`, is
     built on first use; equality, hashing and ``repr`` go by it.
@@ -79,17 +82,20 @@ class PCMatrix:
         array_form = isinstance(entries, np.ndarray)
         if array_form and entries.ndim != 2:
             raise StructureError(f"expected a 2-D array, got {entries.ndim} dimension(s)")
-        if array_form and entries.dtype.kind == "c":  # the cast would drop the imaginary parts
+        if array_form and entries.dtype.kind not in "iuf":  # numpy would cast text, bools, dates
             raise StructureError(f"expected a real array, got dtype {entries.dtype}")
         if array_form and len(entries) == 0 < entries.shape[1]:  # no row 0 to name
             raise StructureError(f"expected a square array, got shape {entries.shape}")
-        rows = np.array(entries, float, order="C") if array_form else [tuple(r) for r in entries]
+        rows = entries if array_form else [r if isinstance(r, (str, bytes)) else tuple(r) for r in entries]
         n = len(rows)
         for i, row in enumerate(rows[:1] if array_form else rows):  # an array's rows share a length
+            if isinstance(row, (str, bytes)):
+                raise StructureError(f"row {i} must be a sequence of cells, got {type(row).__name__}")
             if len(row) != n:
                 raise StructureError(f"row {i} has {len(row)} cells, expected {n}")
         if array_form:
-            a, mask = rows, ~np.isnan(rows)
+            a = np.array(entries, float, order="C")
+            mask = ~np.isnan(a)
         else:
             values, defined = _cells(np.fromiter((c for row in rows for c in row), object, n * n))
             a, mask = values.astype(float).reshape(n, n), defined.astype(bool).reshape(n, n)

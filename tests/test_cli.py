@@ -390,6 +390,12 @@ def test_json_repeated_key_is_a_parse_error(tmp_path, capsys):
     assert capsys.readouterr() == ("", "PARSE_ERROR: repeated key 'b' in a JSON object\n")
 
 
+def test_nul_in_a_label_is_a_parse_error(tmp_path, capsys):
+    text = "label,a\0x,b\na\0x,1,2\nb,0.5,1\n\nlabel,priority\nb,1\n"
+    assert main(["rank", write(tmp_path, "nul.csv", text)]) == 2
+    assert capsys.readouterr() == ("", "PARSE_ERROR: line 1: line contains NUL\n")
+
+
 class TestUnreadableInput:
     """Input that cannot be read as text or as numbers fails as
     ``PARSE_ERROR`` (exit 2), never as a traceback (exit 1, the code that

@@ -278,6 +278,8 @@ WIDE = "1." + "0" * 131_071  # one character past the csv module's field size li
             "label,a,b\na,1,2\nb,0.5,1\n\nb,1\n\na,1\n",
             "expected at most two blocks: the matrix and the known priorities",
         ),
+        ("label\n", "line 1: header must be 'label,<label1>,...'"),
+        (",\n,1\n", "line 2: expected 1 matrix rows after the header, found 0"),
     ],
 )
 def test_plain_grid_errors_keep_messages_and_lines(text, message):
@@ -286,6 +288,39 @@ def test_plain_grid_errors_keep_messages_and_lines(text, message):
         with pytest.raises(ParseError) as got:
             parse_problem(text)
     assert str(got.value) == message
+
+
+PLAIN_2 = "label,a,b\na,1,2\nb,0.5,1\n\nlabel,priority\nb,1\n"
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        pytest.param(PLAIN_2.replace(",a", ",a\0x").replace("\na,", "\na\0x,"), 1, id="label"),
+        pytest.param(PLAIN_2.replace("0.5", "0.5\0"), 3, id="plain-cell"),
+        pytest.param(PLAIN_2.replace("0.5", "1/2\0"), 3, id="fraction-cell"),
+        pytest.param(PLAIN_2.replace("b,1\n", "b,1\0\n"), 6, id="known-block"),
+        pytest.param(PLAIN_2.replace("\n", "\r\n").replace("0.5", "0.5\0"), 3, id="crlf"),
+        pytest.param('label,"a\nb",c\n"a\nb",1,2\0\nc,0.5,1\n', 4, id="after-quoted-line-end"),
+    ],
+)
+def test_nul_is_a_parse_error_on_its_line(text, line):
+    """The csv module reads NUL from Python 3.11 on and rejected it before:
+    every CSV reader rejects it first, as Python 3.10 did."""
+    for parse, given in ((parse_problem, text), (parse_problem_cells, formats._lf_lines(text))):
+        with pytest.raises(ParseError) as got:
+            parse(given)
+        assert (str(got.value), got.value.line) == (f"line {line}: line contains NUL", line)
+
+
+def test_nul_in_a_known_file_is_a_parse_error():
+    known_text = "label,priority\nb,\x001\n"
+    with pytest.raises(ParseError) as got:
+        parse_known(known_text)
+    assert (str(got.value), got.value.line) == ("line 2: line contains NUL", 2)
+    with pytest.raises(ParseError) as got:
+        parse_problem("label,a,b\na,1,2\nb,0.5,1\n", known_text=known_text)
+    assert (str(got.value), got.value.line) == ("line 2: line contains NUL", 2)
 
 
 def _fraction_grid_csv(bad: str) -> str:
@@ -325,6 +360,10 @@ def test_cell_path_raises_at_the_first_bad_cell(bad, message):
         ("1e400", "value inf is not finite"),
         ("[1]", 'expected a number, a fraction string, or "?", got [1.0]'),
         ("{}", 'expected a number, a fraction string, or "?", got {}'),
+        ('"x"', "cannot parse value 'x'"),
+        ('"1/0"', "fraction '1/0' must have positive numerator and denominator"),
+        ('""', "empty cell (use '?' for a missing comparison)"),
+        ('"inf"', "value 'inf' is not finite"),
     ],
 )
 def test_json_cell_after_float_rows(cell, got):
@@ -337,6 +376,20 @@ def test_json_cell_after_float_rows(cell, got):
     with pytest.raises(ParseError) as error:
         parse_problem(text, "json")
     assert (str(error.value), error.value.line) == (f"matrix[2][1]: {got}", None)
+
+
+def test_json_known_string_names_its_label():
+    text = '{"alternatives": ["a", "b"], "matrix": [[1, 2], [0.5, 1]], "known": {"b": "1/0"}}'
+    with pytest.raises(ParseError) as got:
+        parse_problem(text, "json")
+    assert str(got.value) == "known['b']: fraction '1/0' must have positive numerator and denominator"
+
+
+def test_json_first_bad_string_in_row_order_is_named():
+    text = '{"alternatives": ["a", "b"], "matrix": [[1, "2"], ["y", "x"]]}'
+    with pytest.raises(ParseError) as got:
+        parse_problem(text, "json")
+    assert str(got.value) == "matrix[1][0]: cannot parse value 'y'"
 
 
 def test_json_bad_cell_wins_over_a_later_ragged_row():

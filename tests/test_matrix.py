@@ -667,6 +667,60 @@ class TestInputRuleMessages:
         assert str(got.value) == "expected a real array, got dtype complex128"
 
     @pytest.mark.parametrize(
+        "array",
+        [
+            pytest.param(np.array([[1, "a"], [0.5, 1]], dtype=object), id="object-string"),
+            pytest.param(np.array([[1, 2 + 1j], [0.5, 1]], dtype=object), id="object-complex"),
+            pytest.param(np.array([[1, 10**400], [0.5, 1]], dtype=object), id="object-huge-int"),
+            pytest.param(np.array([[1, None], [None, 1]], dtype=object), id="object-none"),
+            pytest.param(np.array([[1.0, 2.0], [0.5, 1.0]], dtype=object), id="object-floats"),
+            pytest.param(np.array([["1", "1_0"], ["0.1", "1"]]), id="str"),
+            pytest.param(np.array([["1", "nan"], ["nan", "1"]]), id="str-nan"),
+            pytest.param(np.array([[b"1", b"2"], [b"0.5", b"1"]]), id="bytes"),
+            pytest.param(np.ones((2, 2), dtype=bool), id="bool"),
+            pytest.param(np.ones((2, 2), dtype="timedelta64[D]"), id="timedelta"),
+            pytest.param(np.ones((2, 2), dtype="datetime64[D]"), id="datetime"),
+        ],
+    )
+    def test_array_of_anything_but_real_numbers_is_rejected(self, array):
+        """numpy's casts would read text, bools and dates as numbers, and an
+        object array as whatever its cells cast to: only int, uint and float
+        arrays are matrices."""
+        with pytest.raises(StructureError) as got:
+            PCMatrix(array)
+        assert str(got.value) == f"expected a real array, got dtype {array.dtype}"
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8, np.uint64, np.float16, float])
+    def test_real_arrays_are_accepted(self, dtype):
+        matrix = PCMatrix(np.array([[1, 2, 4], [2, 1, 1], [4, 1, 1]], dtype=dtype))
+        assert matrix.array.dtype == np.float64
+        assert matrix.entries == ((1.0, 2.0, 4.0), (2.0, 1.0, 1.0), (4.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            pytest.param(["12", "21"], "row 0 must be a sequence of cells, got str", id="str"),
+            pytest.param([b"12", b"21"], "row 0 must be a sequence of cells, got bytes", id="bytes"),
+            pytest.param([(1, 2), "21"], "row 1 must be a sequence of cells, got str", id="row-1"),
+            pytest.param(
+                [np.str_("1"), (1,)], "row 0 must be a sequence of cells, got str_", id="numpy-str"
+            ),
+            pytest.param([(1, 2, 3), "1"], "row 0 has 3 cells, expected 2", id="length-first"),
+        ],
+    )
+    def test_text_row_is_rejected(self, rows, message):
+        with pytest.raises(StructureError) as got:
+            PCMatrix(rows)
+        assert str(got.value) == message
+
+    def test_nested_forms_that_stay_accepted(self):
+        expected = PCMatrix(((1, 2, MISSING), (0.5, 1, 4), (MISSING, 0.25, 1)))
+        assert PCMatrix([[1, "2", MISSING], ["0.5", 1, 4], [MISSING, 0.25, "1"]]) == expected
+        assert PCMatrix(row for row in expected.entries) == expected
+        assert PCMatrix(iter(row) for row in expected.entries) == expected
+        assert PCMatrix([np.array([1, 2]), np.array([0.5, 1])]).entries == ((1, 2), (0.5, 1))
+
+    @pytest.mark.parametrize(
         "rows, cell, shown",
         [
             pytest.param(((1, 2 + 1j), (0.5, 1)), "(0,1)", "(2+1j)", id="complex"),
