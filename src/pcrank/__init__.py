@@ -7,6 +7,8 @@ geometric-mean estimation method.  Classical eigenvector and geometric-mean
 baselines for complete matrices are included for cross-checking.
 """
 
+from types import ModuleType as _ModuleType
+
 from .arithmetic import ArithmeticSystem, build_arithmetic_system, solve_arithmetic
 from .baselines import BaselineResult, evm, gmm
 from .errors import (
@@ -52,47 +54,9 @@ from .matrix import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArithmeticSystem",
-    "BaselineResult",
-    "DEFAULT_TOL",
-    "DegenerateRowError",
-    "Diagnostics",
-    "GeometricSystem",
-    "IncompleteMatrixError",
-    "KnownComparisonWarning",
-    "MISSING",
-    "NoConvergenceError",
-    "NonPositiveSolutionError",
-    "NotConnectedError",
-    "PCMatrix",
-    "ParseError",
-    "Partition",
-    "PcrankError",
-    "Problem",
-    "Ranking",
-    "ReciprocityError",
-    "ReciprocityViolation",
-    "SingularMatrixError",
-    "StructureError",
-    "TriadDeviation",
-    "build_arithmetic_system",
-    "build_geometric_system",
-    "check_connectivity",
-    "check_consistency",
-    "diagnose",
-    "ensure_solvable",
-    "evm",
-    "fill_missing",
-    "format_value",
-    "gmm",
-    "parse_known",
-    "parse_problem",
-    "parse_value",
-    "serialize_problem",
-    "serialize_ranking",
-    "solve_arithmetic",
-    "solve_geometric",
-    "undefined_counts",
-    "validate_reciprocity",
-]
+# The imports above state the public names.  Modules are left out because the
+# relative imports bind the submodules too; tests/test_public_api.py pins it.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

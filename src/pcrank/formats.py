@@ -221,13 +221,18 @@ def _parse_known_block(rows: list[tuple[int, list[str]]]) -> dict[str, float]:
             raise ParseError("empty label in known-priority row", line)
         if label in known:
             raise ParseError(f"duplicate known priority for {label!r}", line)
-        value = parse_value(token, line)
-        if value is MISSING:
-            raise ParseError("known priority cannot be '?'", line)
-        if value <= 0.0:
-            raise ParseError(f"known priority for {label!r} must be positive, got {token!r}", line)
-        known[label] = value
+        known[label] = _known_priority(parse_value(token, line), label, token, line)
     return known
+
+
+def _known_priority(value: Entry, label: str, given, line: int | None = None) -> float:
+    """A parsed known priority ``value``, or the ParseError that names ``label``
+    and shows the priority as ``given``, in CSV and JSON alike."""
+    if value is MISSING:
+        raise ParseError(f"known priority for {label!r} cannot be '?'", line)
+    if value <= 0.0:
+        raise ParseError(f"known priority for {label!r} must be positive, got {given!r}", line)
+    return value
 
 
 def parse_known(text: str) -> dict[str, float]:
@@ -404,10 +409,7 @@ def _parse_json_problem(text: str) -> tuple[list[str], np.ndarray, dict[str, flo
         raise ParseError("'known' must be an object mapping labels to priorities")
     known: dict[str, float] = {}
     for label, raw in known_obj.items():
-        value = _json_cell(raw, f"known[{label!r}]")
-        if value is MISSING or value <= 0.0:
-            raise StructureError(f"known priority for {label!r} must be positive, got {raw!r}")
-        known[label] = value
+        known[label] = _known_priority(_json_cell(raw, f"known[{label!r}]"), label, raw)
     return list(labels), grid, known
 
 

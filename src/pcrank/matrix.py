@@ -71,8 +71,8 @@ class PCMatrix:
     absent cells is copied as ``float64`` in C order; any other dtype (object,
     text, bool, dates, complex) is rejected, so convert an object array with
     ``.astype(float)`` first.  Nested rows are sequences of cells, not text;
-    a cell is a number, a numeric string or :data:`MISSING` (NaN is
-    rejected).  The diagonal is fixed at 1.  Every pass reads ``array``
+    a cell is a number, a numeric string or :data:`MISSING` (NaN and bools
+    are rejected).  The diagonal is fixed at 1.  Every pass reads ``array``
     (read-only ``float64``, NaN where missing) and ``mask`` (read-only).
     ``entries[i][j]``, the ratio of ``i`` over ``j`` or :data:`MISSING`, is
     built on first use; equality, hashing and ``repr`` go by it.
@@ -150,9 +150,9 @@ class PCMatrix:
 @partial(np.frompyfunc, nin=1, nout=2)
 def _cells(given) -> tuple[float, bool]:
     """Each nested-rows cell as ``(float(given), defined)``, with NaN where
-    ``float`` rejects the cell, so that it is reported as given."""
+    ``float`` rejects the cell or it is a bool, so that it is reported as given."""
     try:
-        return float(given), given is not MISSING
+        return math.nan if isinstance(given, (bool, np.bool_)) else float(given), given is not MISSING
     except (TypeError, ValueError, OverflowError):
         return math.nan, given is not MISSING
 

@@ -846,6 +846,9 @@ def test_three_blocks_on_both_grid_readers(body, plain):
     assert str(got.value) == "expected at most two blocks: the matrix and the known priorities"
 
 
+JSON_KNOWN_B = '{"alternatives": ["a", "b"], "matrix": [[1, 2], [0.5, 1]], "known": {"b": %s}}'
+
+
 @pytest.mark.parametrize(
     "text,fmt,error,message",
     [
@@ -867,6 +870,26 @@ def test_three_blocks_on_both_grid_readers(body, plain):
         pytest.param(
             '{"alternatives": ["", "b"], "matrix": [[1, 2], [0.5, 1]]}', "json",
             StructureError, "alternative labels must be nonempty", id="empty-label",
+        ),
+        pytest.param(
+            "label,a,b\na,1,2\nb,0.5,1\n\nlabel,priority\nb,?\n", "csv",
+            ParseError, "line 6: known priority for 'b' cannot be '?'", id="csv-known-missing",
+        ),
+        pytest.param(
+            JSON_KNOWN_B % '"?"', "json",
+            ParseError, "known priority for 'b' cannot be '?'", id="json-known-missing",
+        ),
+        pytest.param(
+            JSON_KNOWN_B % "-1", "json",
+            ParseError, "known priority for 'b' must be positive, got -1.0", id="json-known-negative",
+        ),
+        pytest.param(
+            JSON_KNOWN_B % '"-1"', "json",
+            ParseError, "known priority for 'b' must be positive, got '-1'", id="json-known-string",
+        ),
+        pytest.param(
+            JSON_KNOWN_B % "0", "json",
+            ParseError, "known priority for 'b' must be positive, got 0.0", id="json-known-zero",
         ),
     ],
 )

@@ -730,6 +730,8 @@ class TestInputRuleMessages:
             pytest.param(((1, np.ones(2)), (0.5, 1)), "(0,1)", "array([1., 1.])", id="array"),
             pytest.param(((1, 10**400), (0.5, 1)), "(0,1)", str(10**400), id="huge-int"),
             pytest.param(((1, 2), ("b", "a")), "(1,0)", "'b'", id="first-in-row-order"),
+            pytest.param(((True, 2), (0.5, True)), "(0,0)", "True", id="bool"),
+            pytest.param(((1, 2), (0.5, np.True_)), "(1,1)", repr(np.True_), id="numpy-bool"),
         ],
     )
     def test_nested_cell_that_is_not_a_number(self, rows, cell, shown):
