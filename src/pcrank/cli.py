@@ -30,7 +30,7 @@ from .arithmetic import build_arithmetic_system
 from .baselines import evm, gmm
 from .errors import KnownComparisonWarning, ParseError, PcrankError
 from .formats import Problem, parse_problem, serialize_problem, serialize_ranking, serialize_table
-from .formats import _g6_lines
+from .formats import _g_lines
 from .geometric import build_geometric_system
 from .matrix import DEFAULT_TOL, diagnose, ensure_solvable, fill_missing
 
@@ -157,7 +157,7 @@ def _triad_listing(labels, columns) -> Iterator[str]:
     A line joins three parts: a head ``"  (a, b, "`` per distinct ``(i, j)``
     in the piece (from :func:`np.unique`, so the rows may come in any order),
     a tail ``"c): deviation "`` per label, and the deviation's text, which
-    :func:`formats._g6_lines` writes for the whole piece in one call, exactly
+    :func:`formats._g_lines` writes for the whole piece in one call, exactly
     as ``%.6g`` does.  Only that ASCII text is split into lines, so a label
     may hold any character, line breaks included.
     """
@@ -171,7 +171,7 @@ def _triad_listing(labels, columns) -> Iterator[str]:
         parts = [""] * (3 * len(inverse))
         parts[0::3] = np.array(heads, dtype=object)[inverse].tolist()
         parts[1::3] = tails[k[rows]].tolist()
-        parts[2::3] = _g6_lines(deviation[rows]).splitlines(True)
+        parts[2::3] = _g_lines(deviation[rows]).splitlines(True)
         yield "".join(parts)
 
 

@@ -16,10 +16,10 @@ A plain decimal CSV matrix is read by numpy's C reader in one call; every
 other CSV matrix, and any grid that reader would read differently, goes
 through :func:`parse_value` once per distinct token, in row-major order, with
 the same values, messages and line numbers; a JSON matrix converts each
-distinct string once.  Decimal output is formatted one ``%`` per row, and
-JSON output is laid out as ``json.dumps(..., indent=2)`` lays it out.
-:func:`_g6_lines` is the one bulk ``%.6g`` writer, for the deviations of
-the ``check`` listing: numpy passes where ``%`` would write fixed notation.
+distinct string once.  :func:`_g_lines` is the one bulk ``%g`` writer: numpy
+passes where ``%`` would write fixed notation, 12 digits for a decimal matrix
+(one ``%`` below _BULK_CELLS cells) and 6 for the ``check`` listing.  JSON
+output is laid out as ``json.dumps(..., indent=2)`` lays it out.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from .matrix import MISSING, Entry, PCMatrix, Partition
 _MAX_DENOMINATOR = 9999
 _FRACTION_TOL = 1e-12
 
-_POWERS_OF_TEN = 10.0 ** np.arange(11)  # each exact: every power up to 1e22 is a float
+_POWERS_OF_TEN = 10.0 ** np.arange(16)  # each exact: every power up to 1e22 is a float
+_BULK_CELLS = 1024  # fewer cells: one % beats _g_lines in a complete call (n = 30: +22 us)
 
 
 @dataclass(frozen=True)
@@ -145,45 +146,59 @@ def format_value(value: float, style: str = "decimal") -> str:
     return f"{value:.12g}"
 
 
-def _g6_lines(values: np.ndarray) -> str:
-    """``"%.6g\\n" % v`` for each value of a float64 array, joined: the same
-    text byte for byte, from a few whole-array passes.
+def _g_lines(values: np.ndarray, precision: int = 6, row: int = 1) -> str:
+    """``"%.{precision}g" % v`` for each value of a float64 array, precision 6
+    or 12, each followed by ``,`` or, every ``row``-th, by a newline: the
+    same text byte for byte, from numpy passes over blocks of whole rows.
 
-    A value in fixed notation (decimal exponent -4 to 5) takes the fast path:
-    s = v * 10**(5 - e), e = floor(log10(v)), scales by an exact power of ten,
-    so its one IEEE rounding errs by at most 1e6 * 2**-53 ~ 1.1e-10, and
-    rint(s) is the six digits when s is in [1e5, 999999.5) and more than 1e-6
-    from a rounding tie.  Every other value goes through ``%``: 0, negatives,
-    inf, NaN, scientific notation, a log10 guess that misses, a near tie.  The
-    digits are split out of one int64 word (SWAR: 32-bit lanes, 16-bit lanes,
-    bytes) and laid out by one rule (z leading zeros, the dot at q, trailing
-    zeros cut) in 16 little-endian bytes, NUL-padded up to a final newline.
+    A value in fixed notation takes the fast path: s = v * 10**(p - 1 - e),
+    e = floor(log10(v)), scales by an exact power of ten; s < 1e12 < 2**40, so
+    its one rounding errs by at most 2**-14 ~ 6.1e-5, and rint(s) is the p
+    digits when s is in [10**(p-1), 10**p - 0.5) and more than 1e-4 from a tie.
+    Every other value goes through ``%``: 0, negatives, inf, NaN, scientific
+    notation, 12 digits below 1e-3, a missed log10 guess, a near tie.  SWAR
+    splits the digits into bytes: 6 in one word, laid out by shifts; 12 as 16
+    digits with a 0 for the dot, in two words made ASCII up to the last nonzero
+    digit or the dot.  A call's fixed cost, about 0.1 ms, sets _BULK_CELLS.
     """
     v = np.asarray(values, dtype=np.float64)
-    clamped = np.fmin(np.fmax(v, 1e-4), 999999.0)  # NaN becomes 1e-4
-    e = np.floor(np.log10(clamped)).astype(np.int64)  # in -5..5
-    s = clamped * _POWERS_OF_TEN[5 - e]
+    step = max((1 << 14) // row, 1) * row  # blocks of up to 16,384 values, or one row
+    if len(v) > step:
+        return "".join([_g_lines(v[i : i + step], precision, row) for i in range(0, len(v), step)])
+    top, least = _POWERS_OF_TEN[precision], max(precision - 15, -4)  # z + p + 1 <= 16
+    clamped = np.fmin(np.fmax(v, 10.0**least), top - 1)  # NaN becomes the floor
+    e = np.floor(np.fmax(np.log10(clamped), least)).astype(np.int64)
+    scale = _POWERS_OF_TEN[precision - 1 - e]
+    s = clamped * scale
     r = np.rint(s)
-    fast = (clamped == v) & (s >= 1e5) & (r < 1e6) & (np.abs(s - r) < 0.5 - 1e-6)
-    w = r.astype(np.int64)  # then 00d1d2|d3d4d5d6, 00|d1d2|d3d4|d5d6, 0|0|d1|..|d6, low lane first
-    w = (w << 32) - (w // 10000) * ((10000 << 32) - 1)
-    w = (w << 16) - ((w * 5243 >> 19) & 0x7F0000007F) * 6553599
-    w = (w << 8) - ((w * 103 >> 10) & 0xF000F000F000F) * 2559
-    digits = w >> 16
-    nonzero = (digits + 0x7F7F7F7F7F7F) & 0x808080808080  # the top bit of each nonzero digit
-    significant = np.frexp(nonzero.astype(float))[1] >> 3  # digits up to the last nonzero one
-    z, q = np.clip(-e, 0, 4), np.maximum(e, 0) + 1  # z zeros lead; the dot goes at q
-    digits |= 0x303030303030 & (1 << 8 * np.maximum(significant, q - z)) - 1
-    lo = (digits << 8 * z) | (0x30303030 >> 32 - 8 * z)
-    moved = lo >> 8 * q << 8 * q  # the bytes from q on move up one for the dot
-    words = np.empty((len(v), 2), dtype="<u8")
-    words[:, 0] = lo + moved * 255 + ((z + significant > q) * 0x2E << 8 * q)
-    words[:, 1] = (digits >> 56 - 8 * z >> 8 << 8) | (lo >> 56)  # lo's lost bytes; no shift by 64
+    fast = (clamped == v) & (s >= top / 10) & (r < top) & (np.abs(s - r) < 0.5 - 1e-4)
+    z, q = np.maximum(-e, 0), np.maximum(e, 0) + 1  # z zeros lead; the dot goes at q
+    w = r.astype(np.int64)[None]  # 6 digits: one word
+    if precision == 12:  # the digits, a 0 in the dot's place, zeros: 16 digits, two words
+        t = (r + 9 * np.floor(r / scale) * scale).astype(np.int64)
+        w = np.stack(np.divmod(t * _POWERS_OF_TEN[15 - precision - z].astype(np.int64), 10**8))
+    w = (w << 32) - (w // 10000) * ((10000 << 32) - 1)  # 4|4 digits, low lane first
+    w = (w << 16) - ((w * 5243 >> 19) & 0x7F0000007F) * 6553599  # 2|2|2|2
+    w = (w << 8) - ((w * 103 >> 10) & 0xF000F000F000F) * 2559  # 8 single digits
+    nonzero = (w + 0x7F7F7F7F7F7F7F7F) >> 7 & 0x0101010101010101  # 1 per nonzero digit
+    end = np.frexp((nonzero * 2.0 ** (64 * np.arange(len(w)))[:, None]).sum(0))[1] + 7 >> 3
+    if precision == 6:  # 0|0|d1|..|d6; end - 2: the digits up to the last nonzero one
+        digits, significant = w[0] >> 16, end - 2
+        digits |= 0x303030303030 & (1 << 8 * np.maximum(significant, q - z)) - 1
+        lo = (digits << 8 * z) | (0x30303030 >> 32 - 8 * z)
+        moved = lo >> 8 * q << 8 * q  # the bytes from q on move up one for the dot
+        words = np.stack([lo + moved * 255 + ((z + significant > q) * 0x2E << 8 * q),
+                          (digits >> 56 - 8 * z >> 8 << 8) | (lo >> 56)], axis=1)  # no shift by 64
+    else:  # ASCII up to the last nonzero digit or the dot, the dot, a word for the separator
+        m = np.clip(np.maximum(end, q) - [[0], [8]], 0, 8)  # the text bytes of each word
+        words = np.column_stack([*w | 0x3030303030303030 & (1 << 4 * m << 4 * m) - 1, 0 * q])
+        dotted = np.flatnonzero(q < end)
+        words.view(np.uint8)[dotted, q[dotted]] = 46
     text = words.view(np.uint8)
     slow = np.flatnonzero(~fast)
-    lines = ["%.6g" % value for value in v[slow].tolist()]
-    text[slow] = np.array(lines, dtype="S16").view(np.uint8).reshape(-1, 16)
-    text[:, 15] = 10
+    text.view(f"S{text.shape[1]}")[slow, 0] = [f"%.{precision}g" % x for x in v[slow].tolist()]
+    text[:, -1] = 44
+    text[row - 1 :: row, -1] = 10
     return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -554,20 +569,20 @@ def serialize_problem(problem: Problem, fmt: str = "csv", number_style: str = "d
     labels = problem.original_labels
     order = problem.file_order
     array = problem.matrix.array[np.ix_(order, order)]
-    grid = array.tolist()
     known = dict(problem.known)
     known_labels = [label for label in labels if label in known]
     known_cells = [format_value(known[label], number_style) for label in known_labels]
     if number_style == "decimal":
-        # One %-format per row; only a row holding NaN has 'nan' to mark.
-        row_format = ",".join(["%.12g"] * len(labels))
-        rows = [row_format % tuple(row) for row in grid]
-        for i in np.flatnonzero(np.isnan(array).any(axis=1)).tolist():
-            rows[i] = rows[i].replace("nan", "?")
+        if array.size < _BULK_CELLS:
+            cells = (",".join(["%.12g"] * len(labels)) + "\n") * len(labels)
+            text = cells % tuple(array.ravel().tolist())
+        else:
+            text = _g_lines(array.ravel(), 12, len(labels))
+        rows = text.replace("nan", "?").split("\n")[:-1]  # numbers only: "nan" is NaN
     else:
         rows = [
             ",".join(["?" if math.isnan(v) else format_value(v, "fraction") for v in row])
-            for row in grid
+            for row in array.tolist()
         ]
     if fmt == "json":
         matrix = [_json_layout(_json_cells(row, number_style), 2, "[]") for row in rows]

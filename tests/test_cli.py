@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import check_report_rows, problem_texts, triad_deviations_loops
 from pcrank import PcrankError, diagnose, parse_problem
-from pcrank import cli
+from pcrank import cli, formats
 from pcrank.cli import build_parser, main
 
 MICRO_CSV = """label,a,b,c
@@ -747,6 +747,23 @@ class TestComplete:
         assert parse_problem(out, "csv").matrix.entries == parse_problem(
             CONSISTENT_CSV, "csv"
         ).matrix.entries
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_matrix_above_the_bulk_threshold(self, fmt, tmp_path, capsys, monkeypatch):
+        """A matrix with more cells than ``formats._BULK_CELLS`` is written by
+        ``formats._g_lines``, byte for byte as one ``%`` writes it when the
+        threshold is raised above its size."""
+        labels = [f"x{i}" for i in range(math.isqrt(formats._BULK_CELLS) + 1)]
+        text = noisy_problem_text(labels, "x0", seed=13)
+        if fmt == "json":
+            text = formats.serialize_problem(parse_problem(text), "json")
+        path = write(tmp_path, f"input.{fmt}", text)
+        outputs = []
+        for threshold in (formats._BULK_CELLS, len(labels) ** 2 + 1):
+            monkeypatch.setattr(formats, "_BULK_CELLS", threshold)
+            assert main(["complete", path, "--method", "geometric"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0].count("\n") > len(labels)
 
     @pytest.mark.parametrize("method", ["arithmetic", "geometric"])
     def test_fill_ratio_overflow_is_a_solver_failure(self, tmp_path, capsys, method):

@@ -447,11 +447,38 @@ def test_parse_matches_cell_reference(case):
     assert np.array_equal(problem.matrix.array, reference.matrix.array, equal_nan=True)
 
 
-# NaN rows, extreme magnitudes, and labels that need quoting.
+# Where repr switches between positional and exponent notation, where %.12g
+# rounds up to the next power of ten, and subnormals, where 12 digits do not
+# pin one double.
+NOTATION_BOUNDARIES = [
+    1e11, 999999999999.5, 1e12, 1e15, 1e16, 2.0**53, 1e-5, 2.2250738585072014e-308, 5e-324,
+]
+
+
+def _bulk_file() -> str:
+    """The smallest square CSV problem with more cells than
+    ``formats._BULK_CELLS``, so its decimal rows come from ``_g_lines``:
+    missing pairs, labels that need quoting, NOTATION_BOUNDARIES values and
+    values on both sides of the 12-digit fast path's 1e-3 floor."""
+    n = math.isqrt(formats._BULK_CELLS) + 1
+    labels = ['"x,1"', '"z""q"', *[f"a{i}" for i in range(2, n)]]
+    values = [*map(repr, NOTATION_BOUNDARIES), "1/3", "0.2", "7", "123.456789012345"]
+    values += ["0.00123456789012", "0.000123456789012", "1/7000"]
+    rows = [["label", *labels]]
+    for i, label in enumerate(labels):
+        cells = [values[(i * n + j) % len(values)] for j in range(n)]
+        cells = ["1" if i == j else "?" if (i + j) % 5 == 0 else c for j, c in enumerate(cells)]
+        rows.append([label, *cells])
+    return "\n".join(map(",".join, rows)) + f"\n\nlabel,priority\na{n - 1},2\n"
+
+
+# NaN rows, extreme magnitudes, and labels that need quoting; the last file
+# is written by _g_lines.
 SERIALIZE_FILES = [
     'label,"x,1",y,"z""q"\n"x,1",1,5e-324,?\ny,1e300,1,1e-300\n"z""q",?,1e300,1\n\ny,2\n',
     '{"alternatives": ["x,1", "y", "z\\"q"], "known": {"y": 2},'
     ' "matrix": [[1, 5e-324, "?"], [1e300, 1, 1e-300], ["?", 1e300, 1]]}',
+    _bulk_file(),
 ]
 
 
@@ -459,6 +486,7 @@ SERIALIZE_FILES = [
 @given(st.one_of(problem_texts(), problem_texts(plain=True)))
 @example((SERIALIZE_FILES[0], "csv", False))
 @example((SERIALIZE_FILES[1], "json", False))
+@example((SERIALIZE_FILES[2], "csv", False))
 def test_serialize_matches_cell_reference(case):
     text, fmt, force_reciprocal = case
     problem = _outcome(parse_problem, text, fmt, None, force_reciprocal)
@@ -470,12 +498,6 @@ def test_serialize_matches_cell_reference(case):
             )
 
 
-# Where repr switches between positional and exponent notation, where %.12g
-# rounds up to the next power of ten, and subnormals, where 12 digits do not
-# pin one double.
-NOTATION_BOUNDARIES = [
-    1e11, 999999999999.5, 1e12, 1e15, 1e16, 2.0**53, 1e-5, 2.2250738585072014e-308, 5e-324,
-]
 WRITER_LABELS = ["NaN", "?", '"', "\\", "é"]
 SOME_MISSING = [False, True] * 7 + [True]  # every other pair missing, three knowns
 
@@ -956,7 +978,7 @@ _ties = st.builds(  # the floats nearest the 7-digit decimal ties (10 m + 5) 10*
 def test_g6_kernel_matches_percent_format(values):
     """Both signs, 0, subnormals, inf and NaN (``st.floats`` and raw bit
     patterns), values over many decades, and near ties."""
-    assert formats._g6_lines(np.array(values, dtype=float)) == g6_reference(values)
+    assert formats._g_lines(np.array(values, dtype=float)) == g6_reference(values)
 
 
 def test_g6_kernel_on_bulk_draws():
@@ -970,7 +992,7 @@ def test_g6_kernel_on_bulk_draws():
         [float(f"{10 * a + 5}e{b}") for a, b in zip(m.tolist(), e.tolist())],
     ])
     rng.shuffle(values)
-    assert formats._g6_lines(values) == g6_reference(values)
+    assert formats._g_lines(values) == g6_reference(values)
 
 
 _POWERS = 10.0 ** np.arange(-8, 9)
@@ -993,4 +1015,64 @@ _POWERS = 10.0 ** np.arange(-8, 9)
     ],
 )
 def test_g6_kernel_fixed_values(values):
-    assert formats._g6_lines(np.array(values, dtype=float)) == g6_reference(values)
+    assert formats._g_lines(np.array(values, dtype=float)) == g6_reference(values)
+
+
+def g12_reference(values, row: int = 1) -> str:
+    """``"%.12g" % v`` for each value, ``,`` after each but the last of every
+    ``row`` values and a newline after that one."""
+    texts = ["%.12g" % value for value in np.asarray(values, dtype=float).tolist()]
+    return "".join(text + ("\n" if i % row == row - 1 else ",") for i, text in enumerate(texts))
+
+
+_spread12 = st.floats(-32.0, 32.0).map(math.exp)  # 1e-14 to 8e13, past both fixed-notation ends
+_ties12 = st.builds(  # the floats nearest the 13-digit decimal ties (10 m + 5) 10**e
+    lambda m, e: float(f"{10 * m + 5}e{e}"), st.integers(10**11, 10**12 - 1), st.integers(-18, 0)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.floats(), _bit_patterns, _spread12, _ties12), max_size=200),
+    st.integers(1, 7),
+)
+def test_g12_kernel_matches_percent_format(values, row):
+    """The ``%.6g`` property at 12 digits, the values laid out in rows."""
+    values = values[: len(values) // row * row]
+    assert formats._g_lines(np.array(values, dtype=float), 12, row) == g12_reference(values, row)
+
+
+def test_g12_kernel_on_bulk_draws():
+    """Log-normal values, raw bit patterns and 13-digit ties, 100,000 each,
+    in rows of 400 as the serializer writes an n = 400 matrix."""
+    rng = np.random.default_rng(17)
+    m, e = rng.integers(10**11, 10**12, 100_000), rng.integers(-18, 1, 100_000)
+    values = np.concatenate([
+        rng.lognormal(0.0, 8.0, 100_000),
+        rng.integers(0, 2**64 - 1, 100_000, dtype=np.uint64).view(np.float64),
+        [float(f"{10 * a + 5}e{b}") for a, b in zip(m.tolist(), e.tolist())],
+    ])
+    rng.shuffle(values)
+    rows = formats._g_lines(values, 12, 400).split("\n")  # a list: pytest reports its diff fast
+    assert rows == g12_reference(values, 400).split("\n")
+
+
+_POWERS12 = 10.0 ** np.arange(-5, 14)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        pytest.param([1e-4, np.nextafter(1e-4, 0.0), 1e-3, np.nextafter(1e-3, 0.0)], id="floors"),
+        pytest.param([999999999999.5, 1e12, 999999999999.0, 0.5, 9.5], id="ties-and-carry"),
+        pytest.param(np.nextafter(_POWERS12, 0.0), id="below-powers-of-ten"),
+        pytest.param(_POWERS12, id="powers-of-ten"),
+        pytest.param(np.nextafter(_POWERS12, math.inf), id="above-powers-of-ten"),
+        pytest.param(
+            [5e-324, 2.2250738585072014e-308, 0.0, -0.0, math.inf, -math.inf, math.nan],
+            id="special",
+        ),
+    ],
+)
+def test_g12_kernel_fixed_values(values):
+    assert formats._g_lines(np.array(values, dtype=float), 12) == g12_reference(values)
