@@ -7,8 +7,7 @@ absorbs it into the diagonal: row ``i`` averages over its
 ``n - s_i - 1`` defined comparisons, where ``s_i`` counts the missing ones.
 Moving the unknown terms left yields a k-by-k linear system with unit
 diagonal; terms involving known alternatives accumulate into the
-constant-term vector.  The builder runs no guard: :func:`solve_arithmetic`
-is ``ensure_solvable``, then the builder, then :meth:`ArithmeticSystem.ranking`.
+constant-term vector.
 
 Unlike the geometric variant the solution is not guaranteed positive: large
 inconsistency can push a component below zero, reported as

@@ -120,10 +120,7 @@ def cmd_check(args) -> int:
         partition, unusable = None, exc
     report = diagnose(problem.matrix, partition, args.tol)
 
-    lines = [
-        f"alternatives: {problem.n} ({problem.n - len(problem.known)} unknown, "
-        f"{len(problem.known)} known)"
-    ]
+    lines = [f"alternatives: {problem.n} ({problem.k} unknown, {len(problem.known)} known)"]
     lines.append(f"reciprocity violations: {len(report.reciprocity_violations)}")
     for v in report.reciprocity_violations:
         lines.append(

@@ -11,15 +11,6 @@ integers, the conventional way ratio judgments are recorded.  Internally
 the matrix is one ``float64`` grid with NaN for ``?``, from the parser to
 the serializer.  Empty cells are an error rather than a missing value:
 silent emptiness hides data-entry mistakes, ``?`` states intent.
-
-A plain decimal CSV matrix is read by numpy's C reader in one call; every
-other CSV matrix, and any grid that reader would read differently, goes
-through :func:`parse_value` once per distinct token, in row-major order, with
-the same values, messages and line numbers; a JSON matrix converts each
-distinct string once.  :func:`_g_lines` is the one bulk ``%g`` writer: numpy
-passes where ``%`` would write fixed notation, 12 digits for a decimal matrix
-(one ``%`` below _BULK_CELLS cells) and 6 for the ``check`` listing.  JSON
-output is laid out as ``json.dumps(..., indent=2)`` lays it out.
 """
 
 from __future__ import annotations
@@ -447,16 +438,13 @@ def _canonicalize(labels: list[str], grid: np.ndarray, known: dict[str, float]) 
     stray = sorted(set(known) - set(labels))
     if stray:
         raise StructureError(f"known priorities for undeclared alternatives: {stray}")
-    unknown_labels = [l for l in labels if l not in known]
-    known_labels = [l for l in labels if l in known]
-    order = unknown_labels + known_labels
-    index = {label: idx for idx, label in enumerate(labels)}
-    perm = [index[label] for label in order]
+    perm = sorted(range(len(labels)), key=lambda i: labels[i] in known)  # unknowns first, stable
+    order = tuple(labels[i] for i in perm)
     return Problem(
-        labels=tuple(order),
+        labels=order,
         original_labels=tuple(labels),
         matrix=PCMatrix(grid.take(perm, 0).take(perm, 1)),
-        known=tuple((label, known[label]) for label in known_labels),
+        known=tuple((label, known[label]) for label in order if label in known),
     )
 
 
@@ -554,6 +542,9 @@ def serialize_table(
 ) -> str:
     """Serialize named value columns side by side, 12 significant digits: a
     ``label,<name>,...`` CSV table, or JSON ``{name: {label: value}}``."""
+    for name, values in columns.items():
+        if len(values) != len(labels):
+            raise StructureError(f"column {name!r}: {len(labels)} labels but {len(values)} values")
     cells = {name: [f"{value:.12g}" for value in values] for name, values in columns.items()}
     if fmt == "csv":
         return _csv_text([("label", *cells), *zip(labels, *cells.values())])

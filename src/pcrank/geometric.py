@@ -11,8 +11,6 @@ system solves at all.
 
 The logarithm base is mathematically irrelevant (it cancels in the back
 transformation); it is exposed only so that invariance can be demonstrated.
-The builder runs no guard: :func:`solve_geometric` is ``ensure_solvable`` (so
-its errors precede a bad ``log_base``'s), the builder, then ``.ranking``.
 """
 
 from __future__ import annotations
@@ -79,6 +77,7 @@ def solve_geometric(
     log_base: float = math.e,
     tol: float = DEFAULT_TOL,
 ) -> Ranking:
-    """Guard, build and rank: the full ranking, known priorities verbatim."""
+    """Guard, build and rank: the full ranking, known priorities verbatim.
+    The guard runs first, so its errors precede a bad ``log_base``'s."""
     ensure_solvable(matrix, partition, tol)
     return build_geometric_system(matrix, partition, log_base).ranking(partition)

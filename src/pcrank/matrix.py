@@ -25,7 +25,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -97,8 +97,9 @@ class PCMatrix:
             a = np.array(entries, float, order="C")
             mask = ~np.isnan(a)
         else:
-            values, defined = _cells(np.fromiter((c for row in rows for c in row), object, n * n))
-            a, mask = values.astype(float).reshape(n, n), defined.astype(bool).reshape(n, n)
+            cells = [c for row in rows for c in row]
+            a = np.fromiter(map(_number, cells), float, n * n).reshape(n, n)
+            mask = np.fromiter((c is not MISSING for c in cells), bool, n * n).reshape(n, n)
         bad = mask & ~((a > 0.0) & (a < math.inf))
         bad.flat[:: n + 1] |= a.diagonal() != 1.0  # a missing diagonal cell is NaN, not 1
         if bad.any():
@@ -147,29 +148,25 @@ class PCMatrix:
         return [(i, j) for i, j in np.argwhere(np.triu(~self.mask)).tolist()]
 
 
-@partial(np.frompyfunc, nin=1, nout=2)
-def _cells(given) -> tuple[float, bool]:
-    """Each nested-rows cell as ``(float(given), defined)``, with NaN where
-    ``float`` rejects the cell or it is a bool, so that it is reported as given."""
+def _number(given) -> float:
+    """``float(given)``, or NaN for a bool or anything ``float`` rejects, so
+    that the callers' messages show such a value as given."""
     try:
-        return math.nan if isinstance(given, (bool, np.bool_)) else float(given), given is not MISSING
+        return math.nan if isinstance(given, (bool, np.bool_)) else float(given)
     except (TypeError, ValueError, OverflowError):
-        return math.nan, given is not MISSING
+        return math.nan
 
 
 def _positive_finite(values: Iterable[float], noun: str) -> tuple[float, ...]:
-    """``values`` as floats, each positive and finite, or a StructureError
-    naming the first that is not (as given, when ``float`` rejects it)."""
-    floats = []
-    for idx, given in enumerate(values):
-        try:
-            v = shown = float(given)
-        except (TypeError, ValueError, OverflowError):
-            v, shown = math.nan, given
-        if not math.isfinite(v) or v <= 0.0:
+    """``values`` read by :func:`_number`, each positive and finite, or a
+    StructureError naming the first that is not (as given when rejected)."""
+    values = tuple(values)
+    floats = tuple(map(_number, values))
+    for idx, v in enumerate(floats):
+        if not 0.0 < v < math.inf:
+            shown = values[idx] if math.isnan(v) else v
             raise StructureError(f"{noun} #{idx} must be positive and finite, got {shown!r}")
-        floats.append(v)
-    return tuple(floats)
+    return floats
 
 
 @dataclass(frozen=True)

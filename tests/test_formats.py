@@ -709,6 +709,10 @@ class TestSerialize:
     def test_ranking_length_mismatch(self):
         with pytest.raises(StructureError):
             serialize_ranking(("x",), (1.0, 2.0))
+        for labels, column, fmt in ((["a", "b"], [1.0], "csv"), (["a"], [1.0, 2.0], "json")):
+            with pytest.raises(StructureError) as got:
+                serialize_table(labels, {"x": column}, fmt)
+            assert str(got.value) == f"column 'x': {len(labels)} labels but {len(column)} values"
 
     def test_format_value_styles(self):
         assert format_value(0.5) == "0.5"
@@ -813,6 +817,20 @@ class TestSerialize:
         assert problem.file_order == [0, 2, 1]
         values = (4.0, 1.0, 2.0)
         assert [values[i] for i in problem.file_order] == [4.0, 2.0, 1.0]
+        # Unknowns first, each group in file order: knowns first in the file,
+        # knowns interleaved with unknowns, a single unknown.
+        for labels, known, canonical, file_order in [
+            ("abcd", "ab", "cdab", [2, 3, 0, 1]),
+            ("abcde", "bd", "acebd", [0, 3, 1, 4, 2]),
+            ("abc", "ac", "bac", [1, 0, 2]),
+        ]:
+            n = len(labels)
+            grid = 2.0 ** (np.arange(n)[:, None] - np.arange(n))  # c_ij = 2**(i - j)
+            problem = formats._canonicalize(list(labels), grid, dict.fromkeys(known, 1.0))
+            assert problem.labels == tuple(canonical)
+            assert problem.known == tuple((label, 1.0) for label in known)
+            assert problem.file_order == file_order
+            assert (problem.matrix.array[np.ix_(file_order, file_order)] == grid).all()
 
 
 @pytest.mark.parametrize(

@@ -585,6 +585,9 @@ class TestTypes:
 
 NO_KNOWN = "no known priorities declared; ranking needs at least one fixed alternative"
 NO_UNKNOWN = "every alternative already has a known priority; nothing to compute"
+# One number rule for known priorities, ranking and fill values: a bool is
+# rejected and shown as given, any number ``float`` reads is shown as its float.
+NUMBER_RULE = [(True, "True"), (np.True_, repr(np.True_)), (-1, "-1.0"), (np.int64(-1), "-1.0")]
 
 
 class TestInputRuleMessages:
@@ -611,6 +614,13 @@ class TestInputRuleMessages:
             pytest.param(
                 1, (None,), "known priority #0 must be positive and finite, got None", id="none"
             ),
+            *[
+                pytest.param(
+                    1, (given,), f"known priority #0 must be positive and finite, got {shown}",
+                    id=f"number-rule-{given!r}",
+                )
+                for given, shown in NUMBER_RULE
+            ],
         ],
     )
     def test_partition_messages_in_order(self, k, known, message):
@@ -643,6 +653,10 @@ class TestInputRuleMessages:
         with pytest.raises(StructureError) as got:
             fill_missing(m, (1.0, "a"))
         assert str(got.value) == "fill value #1 must be positive and finite, got 'a'"
+        for given, shown in NUMBER_RULE:
+            with pytest.raises(StructureError) as got:
+                fill_missing(m, (1.0, given))
+            assert str(got.value) == f"fill value #1 must be positive and finite, got {shown}"
 
     def test_ranking_messages(self):
         with pytest.raises(StructureError) as got:
@@ -651,6 +665,10 @@ class TestInputRuleMessages:
         with pytest.raises(StructureError) as got:
             Ranking(("x", 1.0), 1)
         assert str(got.value) == "ranking value #0 must be positive and finite, got 'x'"
+        for given, shown in NUMBER_RULE:
+            with pytest.raises(StructureError) as got:
+                Ranking((given, 2.0), 1)
+            assert str(got.value) == f"ranking value #0 must be positive and finite, got {shown}"
         for k in (-1, 3):
             with pytest.raises(StructureError) as got:
                 Ranking((1.0, 2.0), k=k)
