@@ -22,15 +22,13 @@ import sys
 import warnings
 from itertools import chain, combinations
 from pathlib import Path
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import Iterable
 
 from .arithmetic import build_arithmetic_system
 from .baselines import evm, gmm
 from .errors import KnownComparisonWarning, ParseError, PcrankError
 from .formats import Problem, parse_problem, serialize_problem, serialize_ranking, serialize_table
-from .formats import _g_lines
+from .formats import triad_listing
 from .geometric import build_geometric_system
 from .matrix import DEFAULT_TOL, diagnose, ensure_solvable, fill_missing
 
@@ -139,37 +137,9 @@ def cmd_check(args) -> int:
         isolated = ", ".join(problem.labels[i] for i in report.isolated_unknowns)
         lines.append(f"connectivity: FAILED (unknowns not reaching any known: {isolated})")
     lines.append(f"triad deviations above tol {args.tol:g}: {len(report.triad_columns[3])}")
-    listing = _triad_listing(problem.labels, report.triad_columns)
+    listing = triad_listing(problem.labels, report.triad_columns)
     _emit(args, chain(["\n".join(lines) + "\n"], listing))
     return 0 if report.clean and unusable is None else 1
-
-
-_LISTING_CHUNK = 1 << 14  # rows per piece of the triad listing: one kernel call, one join
-
-
-def _triad_listing(labels, columns) -> Iterator[str]:
-    """The ``  (a, b, c): deviation d`` lines, in pieces of a bounded number
-    of rows, so memory does not grow with the number of deviations.
-
-    A line joins three parts: a head ``"  (a, b, "`` per distinct ``(i, j)``
-    in the piece (from :func:`np.unique`, so the rows may come in any order),
-    a tail ``"c): deviation "`` per label, and the deviation's text, which
-    :func:`formats._g_lines` writes for the whole piece in one call, exactly
-    as ``%.6g`` does.  Only that ASCII text is split into lines, so a label
-    may hold any character, line breaks included.
-    """
-    i, j, k, deviation = columns
-    n = len(labels)
-    tails = np.array([f"{label}): deviation " for label in labels], dtype=object)
-    for start in range(0, len(deviation), _LISTING_CHUNK):
-        rows = slice(start, start + _LISTING_CHUNK)
-        pairs, inverse = np.unique(i[rows] * n + j[rows], return_inverse=True)
-        heads = [f"  ({labels[p // n]}, {labels[p % n]}, " for p in pairs.tolist()]
-        parts = [""] * (3 * len(inverse))
-        parts[0::3] = np.array(heads, dtype=object)[inverse].tolist()
-        parts[1::3] = tails[k[rows]].tolist()
-        parts[2::3] = _g_lines(deviation[rows]).splitlines(True)
-        yield "".join(parts)
 
 
 def cmd_complete(args) -> int:

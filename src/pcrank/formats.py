@@ -21,7 +21,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ _FRACTION_TOL = 1e-12
 
 _POWERS_OF_TEN = 10.0 ** np.arange(16)  # each exact: every power up to 1e22 is a float
 _BULK_CELLS = 1024  # fewer cells: one % beats _g_lines in a complete call (n = 30: +22 us)
+_BLOCK_VALUES = 1 << 14  # values per _g_lines pass, and rows per piece of check's listing
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ def _g_lines(values: np.ndarray, precision: int = 6, row: int = 1) -> str:
     digit or the dot.  A call's fixed cost, about 0.1 ms, sets _BULK_CELLS.
     """
     v = np.asarray(values, dtype=np.float64)
-    step = max((1 << 14) // row, 1) * row  # blocks of up to 16,384 values, or one row
+    step = max(_BLOCK_VALUES // row, 1) * row  # blocks of whole rows, or one row
     if len(v) > step:
         return "".join([_g_lines(v[i : i + step], precision, row) for i in range(0, len(v), step)])
     top, least = _POWERS_OF_TEN[precision], max(precision - 15, -4)  # z + p + 1 <= 16
@@ -191,6 +192,29 @@ def _g_lines(values: np.ndarray, precision: int = 6, row: int = 1) -> str:
     text[:, -1] = 44
     text[row - 1 :: row, -1] = 10
     return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def triad_listing(labels: Sequence[str], columns) -> Iterator[str]:
+    """``check``'s ``  (a, b, c): deviation d`` lines, in pieces of
+    _BLOCK_VALUES rows, so memory does not grow with the number of deviations.
+
+    A line joins a head ``"  (a, b, "`` per distinct ``(i, j)`` of the piece
+    (from :func:`np.unique`, so the rows may come in any order), a tail
+    ``"c): deviation "`` per label, and the deviation's :func:`_g_lines` text.
+    Only that ASCII text is split into lines, so a label may hold any character.
+    """
+    i, j, k, deviation = columns
+    n = len(labels)
+    tails = np.array([f"{label}): deviation " for label in labels], dtype=object)
+    for start in range(0, len(deviation), _BLOCK_VALUES):
+        rows = slice(start, start + _BLOCK_VALUES)
+        pairs, inverse = np.unique(i[rows] * n + j[rows], return_inverse=True)
+        heads = [f"  ({labels[p // n]}, {labels[p % n]}, " for p in pairs.tolist()]
+        parts = [""] * (3 * len(inverse))
+        parts[0::3] = np.array(heads, dtype=object)[inverse].tolist()
+        parts[1::3] = tails[k[rows]].tolist()
+        parts[2::3] = _g_lines(deviation[rows]).splitlines(True)
+        yield "".join(parts)
 
 
 def _csv_rows(text: str, first_line: int = 1) -> list[tuple[int, list[str]]]:

@@ -26,7 +26,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -417,7 +417,7 @@ def ensure_solvable(matrix: PCMatrix, partition: Partition, tol: float = DEFAULT
 
 
 @np.errstate(over="ignore")  # overflow gives inf, as in Python floats
-def fill_missing(matrix: PCMatrix, values: Sequence[float]) -> PCMatrix:
+def fill_missing(matrix: PCMatrix, values: Iterable[float]) -> PCMatrix:
     """Complete the matrix by setting every missing c_ij to values[i]/values[j].
 
     With ``values`` taken from a solver ranking this realizes the rule that
@@ -425,6 +425,7 @@ def fill_missing(matrix: PCMatrix, values: Sequence[float]) -> PCMatrix:
     the filled matrix reproduces the ranking.  A ratio that overflows raises
     :class:`SingularMatrixError` (one that underflows to 0 has such a mirror).
     """
+    values = tuple(values)
     if len(values) != matrix.n:
         raise StructureError(f"expected {matrix.n} values, got {len(values)}")
     vals = _positive_finite(values, "fill value")

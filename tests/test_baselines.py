@@ -7,6 +7,7 @@ from pcrank import (
     NoConvergenceError,
     PCMatrix,
     Partition,
+    StructureError,
     evm,
     gmm,
     solve_arithmetic,
@@ -141,6 +142,15 @@ class TestGmm:
         with pytest.raises(IncompleteMatrixError):
             gmm(m)
 
+
+
+@pytest.mark.parametrize("method", [evm, gmm])
+def test_empty_matrix_rejected(method):
+    """The empty matrix is valid but has no weights: a StructureError before
+    any arithmetic, so neither a division by zero nor numpy's empty-mean
+    warning."""
+    with pytest.raises(StructureError, match="^matrix has no alternatives"):
+        method(PCMatrix(np.zeros((0, 0))))
 
 def test_all_methods_agree_on_consistent_matrices():
     rng = rng_for(66)

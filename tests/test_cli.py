@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -202,6 +204,19 @@ class TestRank:
         assert capsys.readouterr().err.startswith("RECIPROCITY_VIOLATION")
         assert main(["rank", path, "--force-reciprocal", "--method", "arithmetic"]) == 0
         assert ranking_csv_to_dict(capsys.readouterr().out)["a"] == pytest.approx(4.0)
+
+    def test_module_runs_as_a_script(self, tmp_path, capsys):
+        """``python -m pcrank.cli`` exits with ``main``'s code and prints what
+        ``main`` prints in process (in a child process: importing the running
+        module again would warn)."""
+        path = write(tmp_path, "micro.csv", MICRO_CSV)
+        assert main(["rank", path]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "pcrank.cli", "rank", path],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert done.returncode == 0 and done.stdout == capsys.readouterr().out
 
 
 class TestErrorPaths:
@@ -624,7 +639,7 @@ def check_output(text: str, to_file: bool, tmp_path, capsys) -> tuple[int, str]:
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @pytest.mark.parametrize("to_file", [False, True])
 def test_check_listing_across_chunk_boundaries(offset, to_file, tmp_path, capsys, monkeypatch):
-    """The listing is written in pieces of ``_LISTING_CHUNK`` rows; with the
+    """The listing is written in pieces of ``formats._BLOCK_VALUES`` rows; with the
     deviation count one below, at and one above the piece size, stdout and
     ``--output`` hold the report built one line per finding."""
     text = noisy_problem_text([f"x{i}" for i in range(7)], "x0", seed=3)
@@ -632,7 +647,7 @@ def test_check_listing_across_chunk_boundaries(offset, to_file, tmp_path, capsys
     expected, code = check_report_rows(problem, 1e-9)
     deviations = len(triad_deviations_loops(problem.matrix, 1e-9))
     assert deviations > 2 and code == 1
-    monkeypatch.setattr(cli, "_LISTING_CHUNK", deviations - offset)
+    monkeypatch.setattr(formats, "_BLOCK_VALUES", deviations - offset)
     assert check_output(text, to_file, tmp_path, capsys) == (code, expected)
 
 
@@ -647,7 +662,7 @@ def test_check_listing_labels_like_format_codes(to_file, tmp_path, capsys, monke
     i, j, _, _ = diagnose(problem.matrix, tol=1e-9).triad_columns
     chunk = 3  # the second piece starts within the first run
     assert (i[chunk - 1], j[chunk - 1]) == (i[chunk], j[chunk])
-    monkeypatch.setattr(cli, "_LISTING_CHUNK", chunk)
+    monkeypatch.setattr(formats, "_BLOCK_VALUES", chunk)
     assert check_output(text, to_file, tmp_path, capsys) == (code, expected)
 
 
@@ -669,20 +684,20 @@ def test_check_listing_labels_print_verbatim(labels, to_file, tmp_path, capsys, 
     expected, code = check_report_rows(problem, 1e-9)
     assert code == 1 and f"  ({labels[0]}, {labels[1]}, {labels[2]}): deviation " in expected
     assert len(triad_deviations_loops(problem.matrix, 1e-9)) > 8  # five pieces at least
-    monkeypatch.setattr(cli, "_LISTING_CHUNK", 2)
+    monkeypatch.setattr(formats, "_BLOCK_VALUES", 2)
     assert check_output(text, to_file, tmp_path, capsys) == (code, expected)
 
 
 @pytest.mark.parametrize("to_file", [False, True])
 def test_check_listing_at_its_own_piece_size(to_file, tmp_path, capsys):
-    """With ``_LISTING_CHUNK`` as it ships, a listing longer than one piece
+    """With ``formats._BLOCK_VALUES`` as it ships, a listing longer than one piece
     (every one of n = 50's 19,600 triads deviates) matches the report built
     one line per finding."""
     text = noisy_problem_text([f"x{i}" for i in range(50)], "x0", seed=11)
     problem = parse_problem(text)
     expected, code = check_report_rows(problem, 1e-9)
     assert code == 1 and "above tol 1e-09: 19600\n" in expected
-    assert 19600 > cli._LISTING_CHUNK
+    assert 19600 > formats._BLOCK_VALUES
     assert check_output(text, to_file, tmp_path, capsys) == (code, expected)
 
 

@@ -540,6 +540,7 @@ class TestTypes:
 
     def test_ranking_slices_and_normalization(self):
         r = Ranking((4.0, 2.0, 1.0), k=2)
+        assert r.n == 3
         assert r.computed == (4.0, 2.0)
         assert r.known == (1.0,)
         norm = r.normalized()
@@ -647,6 +648,10 @@ class TestInputRuleMessages:
         with pytest.raises(StructureError) as got:
             fill_missing(m, (1.0, -2.0, 3.0))
         assert str(got.value) == "expected 2 values, got 3"
+        with pytest.raises(StructureError) as got:
+            fill_missing(m, (v for v in (1.0, -2.0, 3.0)))
+        assert str(got.value) == "expected 2 values, got 3"
+        assert fill_missing(m, (v for v in (1.0, 2.0))).entries == ((1.0, 0.5), (2.0, 1.0))
         with pytest.raises(StructureError) as got:
             fill_missing(m, (1.0, -2.0))
         assert str(got.value) == "fill value #1 must be positive and finite, got -2.0"
