@@ -141,7 +141,17 @@ def format_value(value: float, style: str = "decimal") -> str:
 def _g_lines(values: np.ndarray, precision: int = 6, row: int = 1) -> str:
     """``"%.{precision}g" % v`` for each value of a float64 array, precision 6
     or 12, each followed by ``,`` or, every ``row``-th, by a newline: the
-    same text byte for byte, from numpy passes over blocks of whole rows.
+    same text byte for byte, from :func:`_g_bytes` over blocks of whole rows."""
+    v = np.asarray(values, dtype=np.float64)
+    step = max(_BLOCK_VALUES // row, 1) * row  # blocks of whole rows, or one row
+    blocks = (_g_bytes(v[i : i + step], precision, row) for i in range(0, len(v), step))
+    return "".join([block.tobytes().translate(None, b"\0").decode("ascii") for block in blocks])
+
+
+def _g_bytes(v: np.ndarray, precision: int, row: int) -> np.ndarray:
+    """The bytes of :func:`_g_lines`' text, one row of a uint8 matrix per
+    value: its text, NUL padding, and its separator as the last byte; 16
+    bytes a value at 6 digits, 24 at 12.
 
     A value in fixed notation takes the fast path: s = v * 10**(p - 1 - e),
     e = floor(log10(v)), scales by an exact power of ten; s < 1e12 < 2**40, so
@@ -153,10 +163,6 @@ def _g_lines(values: np.ndarray, precision: int = 6, row: int = 1) -> str:
     digits with a 0 for the dot, in two words made ASCII up to the last nonzero
     digit or the dot.  A call's fixed cost, about 0.1 ms, sets _BULK_CELLS.
     """
-    v = np.asarray(values, dtype=np.float64)
-    step = max(_BLOCK_VALUES // row, 1) * row  # blocks of whole rows, or one row
-    if len(v) > step:
-        return "".join([_g_lines(v[i : i + step], precision, row) for i in range(0, len(v), step)])
     top, least = _POWERS_OF_TEN[precision], max(precision - 15, -4)  # z + p + 1 <= 16
     clamped = np.fmin(np.fmax(v, 10.0**least), top - 1)  # NaN becomes the floor
     e = np.floor(np.fmax(np.log10(clamped), least)).astype(np.int64)
@@ -191,30 +197,36 @@ def _g_lines(values: np.ndarray, precision: int = 6, row: int = 1) -> str:
     text.view(f"S{text.shape[1]}")[slow, 0] = [f"%.{precision}g" % x for x in v[slow].tolist()]
     text[:, -1] = 44
     text[row - 1 :: row, -1] = 10
-    return text.tobytes().translate(None, b"\0").decode("ascii")
+    return text
 
 
 def triad_listing(labels: Sequence[str], columns) -> Iterator[str]:
-    """``check``'s ``  (a, b, c): deviation d`` lines, in pieces of
+    """``check``'s ``  (a, b, c): deviation d`` lines, in pieces of up to
     _BLOCK_VALUES rows, so memory does not grow with the number of deviations.
 
-    A line joins a head ``"  (a, b, "`` per distinct ``(i, j)`` of the piece
-    (from :func:`np.unique`, so the rows may come in any order), a tail
-    ``"c): deviation "`` per label, and the deviation's :func:`_g_lines` text.
-    Only that ASCII text is split into lines, so a label may hold any character.
+    Each label is encoded once into NUL-padded cells ``"  (a, "``, ``"b, "``
+    and ``"c): deviation "``.  A piece is one byte matrix whose rows are the
+    cells of i, j and k beside the :func:`_g_bytes` row of the deviation, and
+    one pass drops the padding.  A NUL in a label is written as 0xFF, a byte
+    UTF-8 never holds, and mapped back in that pass only when a label has one.
     """
     i, j, k, deviation = columns
-    n = len(labels)
-    tails = np.array([f"{label}): deviation " for label in labels], dtype=object)
-    for start in range(0, len(deviation), _BLOCK_VALUES):
-        rows = slice(start, start + _BLOCK_VALUES)
-        pairs, inverse = np.unique(i[rows] * n + j[rows], return_inverse=True)
-        heads = [f"  ({labels[p // n]}, {labels[p % n]}, " for p in pairs.tolist()]
-        parts = [""] * (3 * len(inverse))
-        parts[0::3] = np.array(heads, dtype=object)[inverse].tolist()
-        parts[1::3] = tails[k[rows]].tolist()
-        parts[2::3] = _g_lines(deviation[rows]).splitlines(True)
-        yield "".join(parts)
+    encoded = [label.encode().replace(b"\0", b"\xff") for label in labels]
+    cells = [  # S{width} arrays: each cell padded with NUL to the widest
+        np.array([head + label + tail for label in encoded], dtype=bytes)
+        for head, tail in [(b"  (", b", "), (b"", b", "), (b"", b"): deviation ")]
+    ]
+    line = np.dtype([("", cell.dtype) for cell in cells] + [("", "S16")])  # i, j, k, deviation
+    nul = bytes.maketrans(b"\xff", b"\0") if any("\0" in label for label in labels) else None
+    step = max(1, min(_BLOCK_VALUES, (1 << 20) // line.itemsize))  # long labels: pieces of 1 MiB
+    for start in range(0, len(deviation), step):
+        rows = slice(start, start + step)
+        number = _g_bytes(deviation[rows], 6, 1)
+        piece = np.empty(len(number), line)
+        for name, cell, index in zip(line.names, cells, (i, j, k)):
+            piece[name] = cell.take(index[rows])
+        piece[line.names[3]] = number.view("S16")[:, 0]
+        yield piece.tobytes().translate(nul, b"\0").decode()
 
 
 def _csv_rows(text: str, first_line: int = 1) -> list[tuple[int, list[str]]]:
@@ -456,6 +468,10 @@ def _canonicalize(labels: list[str], grid: np.ndarray, known: dict[str, float]) 
     for label in labels:
         if not label:
             raise StructureError("alternative labels must be nonempty")
+        try:  # a JSON escape such as \ud800, or an undecodable byte read from stdin
+            label.encode()
+        except UnicodeEncodeError:
+            raise ParseError(f"alternative label {label!r} holds a lone surrogate") from None
     if len(set(labels)) != len(labels):
         dupes = sorted({l for l in labels if labels.count(l) > 1})
         raise StructureError(f"duplicate alternative labels: {dupes}")

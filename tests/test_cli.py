@@ -445,6 +445,25 @@ class TestUnreadableInput:
         monkeypatch.setattr(sys, "stdin", stdin)
         self.assert_parse_error(main(["check", "-"]), capsys)
 
+    @pytest.mark.parametrize(
+        "command", [["check"], ["compare"], ["rank"], ["complete", "--method", "geometric"]]
+    )
+    @pytest.mark.parametrize("source", ["json-escape", "stdin-byte"])
+    def test_lone_surrogate_in_a_label(self, tmp_path, capsys, monkeypatch, command, source):
+        """A JSON escape of half a surrogate pair, or a byte that stdin decodes
+        with ``surrogateescape`` (Python's UTF-8 mode, under the C locale),
+        leaves a lone surrogate in a label: no UTF-8 writer can print it."""
+        if source == "json-escape":
+            text = '{"alternatives": ["b\\ud800", "c"], "matrix": [[1, 2], [0.5, 1]], "known": {"c": 1}}'
+            path, label = write(tmp_path, "surrogate.json", text), "b\ud800"
+        else:
+            data = b"label,b\xe9,c\nb\xe9,1,2\nc,0.5,1\n\nlabel,priority\nc,1\n"
+            stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+            monkeypatch.setattr(sys, "stdin", stdin)
+            path, label = "-", "b\udce9"
+        err = self.assert_parse_error(main([command[0], path, *command[1:]]), capsys)
+        assert err == f"PARSE_ERROR: alternative label {label!r} holds a lone surrogate\n"
+
     def test_csv_field_beyond_size_limit(self, tmp_path, capsys):
         text = MICRO_CSV.replace("b,1/2,1,?", "b,1/2,1," + "9" * 131_073)
         path = write(tmp_path, "wide_field.csv", text)
@@ -622,10 +641,25 @@ def noisy_problem_text(labels, known: str, seed: int) -> str:
     return text + f"\nlabel,priority\n{known},1\n"
 
 
-def check_output(text: str, to_file: bool, tmp_path, capsys) -> tuple[int, str]:
-    """The exit code of ``check`` on ``text`` and the report it writes to
-    stdout, or to ``--output`` (stdout then stays empty)."""
-    argv = ["check", write(tmp_path, "input.csv", text)]
+def noisy_problem_json(labels, known: str, seed: int) -> str:
+    """:func:`noisy_problem_text`'s kind of problem as JSON, written as UTF-8
+    with NUL escaped, so a label may hold any character."""
+    rng = np.random.default_rng(seed)
+    n = len(labels)
+    matrix = np.ones((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            value = float(rng.uniform(0.2, 5.0))
+            matrix[i, j], matrix[j, i] = value, 1.0 / value
+    obj = {"alternatives": labels, "matrix": matrix.tolist(), "known": {known: 1}}
+    return json.dumps(obj, ensure_ascii=False)
+
+
+def check_output(text: str, to_file: bool, tmp_path, capsys, name="input.csv") -> tuple[int, str]:
+    """The exit code of ``check`` on ``text``, in a file called ``name``, and
+    the report it writes to stdout, or to ``--output`` (stdout then stays
+    empty)."""
+    argv = ["check", write(tmp_path, name, text)]
     if to_file:
         argv += ["--output", str(tmp_path / "report.txt")]
     code = main(argv)
@@ -686,6 +720,23 @@ def test_check_listing_labels_print_verbatim(labels, to_file, tmp_path, capsys, 
     assert len(triad_deviations_loops(problem.matrix, 1e-9)) > 8  # five pieces at least
     monkeypatch.setattr(formats, "_BLOCK_VALUES", 2)
     assert check_output(text, to_file, tmp_path, capsys) == (code, expected)
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_check_listing_labels_a_byte_kernel_could_corrupt(to_file, tmp_path, capsys, monkeypatch):
+    """Labels holding NUL (valid JSON as ``\\u0000``), inside and at the end,
+    characters of 2, 3 and 4 UTF-8 bytes, and labels of different widths print
+    verbatim, across pieces of two rows."""
+    labels = ["a\0z", "b\0", "é", "名", "𝔸", "a", "x119"]
+    text = noisy_problem_json(labels, "x119", seed=13)
+    assert "\\u0000" in text
+    problem = parse_problem(text, "json")
+    assert problem.labels == tuple(labels)
+    expected, code = check_report_rows(problem, 1e-9)
+    assert code == 1 and "  (a\0z, b\0, é): deviation " in expected
+    assert "  (名, 𝔸, a): deviation " in expected and ", a, x119): deviation " in expected
+    monkeypatch.setattr(formats, "_BLOCK_VALUES", 2)
+    assert check_output(text, to_file, tmp_path, capsys, "input.json") == (code, expected)
 
 
 @pytest.mark.parametrize("to_file", [False, True])

@@ -1094,3 +1094,46 @@ _POWERS12 = 10.0 ** np.arange(-5, 14)
 )
 def test_g12_kernel_fixed_values(values):
     assert formats._g_lines(np.array(values, dtype=float), 12) == g12_reference(values)
+
+
+_listing_labels = st.text(st.one_of(st.characters(), st.sampled_from("\0\n\xff名𝔸")), max_size=5)
+_deviations = st.one_of(
+    st.sampled_from([0.0, math.inf, 5e-324, 2.2250738585072014e-308]),
+    st.floats(0.0, 2.2250738585072014e-308),  # subnormals
+    _spread,
+    _ties,
+    st.builds(  # within 1e-4 of a 7-digit tie, in units of the 6th digit
+        lambda m, off, e: (m + 0.5 + off) * 10.0**e,
+        st.integers(10**5, 10**6 - 1), st.floats(-1e-4, 1e-4), st.integers(-10, 2),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_triad_listing_matches_line_by_line(data):
+    """Labels of any text (NUL, newlines and characters of 1 to 4 UTF-8 bytes
+    among them), deviations from 0 to inf, and pieces of 1 to 40 rows."""
+    labels = data.draw(st.lists(_listing_labels, min_size=1, max_size=6))
+    index = st.integers(0, len(labels) - 1)
+    rows = data.draw(st.lists(st.tuples(index, index, index, _deviations), max_size=60))
+    columns = [np.array([row[c] for row in rows], dtype=np.intp) for c in range(3)]
+    columns.append(np.array([row[3] for row in rows], dtype=float))
+    expected = "".join(
+        f"  ({labels[i]}, {labels[j]}, {labels[k]}): deviation {d:.6g}\n" for i, j, k, d in rows
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_BLOCK_VALUES", data.draw(st.integers(1, 40)))
+        assert "".join(formats.triad_listing(labels, columns)) == expected
+
+
+def test_triad_listing_pieces_stay_within_a_mebibyte():
+    """Every cell is padded to the widest label, so a label of 768 KiB makes
+    each row wider than 1 MiB and each piece one row; short labels keep
+    pieces of _BLOCK_VALUES rows."""
+    columns = [np.array([0, 1, 2]), np.array([1, 2, 0]), np.array([2, 0, 1]), np.ones(3)]
+    for labels, pieces in [(["a", "b", "c"], 1), (["a", "é" * 3 * 2**17, "c"], 3)]:
+        listing = list(formats.triad_listing(labels, columns))
+        assert len(listing) == pieces
+        assert "".join(listing).count("): deviation 1\n") == 3
+        assert "".join(listing).startswith(f"  (a, {labels[1]}, c): deviation 1\n")
