@@ -11,10 +11,8 @@ constant-term vector.
 
 Unlike the geometric variant the solution is not guaranteed positive: large
 inconsistency can push a component below zero, reported as
-:class:`~pcrank.errors.NonPositiveSolutionError`.  Writing the matrix as
-``I - B``, that happens exactly when the spectral radius of B exceeds 1 (at
-1 the matrix is singular): below 1, ``pcrank.linsolve`` certifies the matrix
-as an M-matrix, whose inverse is nonnegative.
+:class:`~pcrank.errors.NonPositiveSolutionError` (``pcrank.linsolve`` states
+exactly when).
 """
 
 from __future__ import annotations
@@ -23,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveSolutionError, SingularMatrixError
-from .linsolve import solve
+from .errors import NonPositiveSolutionError
+from .linsolve import _System
 from .matrix import DEFAULT_TOL, PCMatrix, Partition, Ranking, ensure_solvable
 
 
 @dataclass(frozen=True, eq=False)
-class ArithmeticSystem:
+class ArithmeticSystem(_System):
     """Linear system for the unknown priorities.
 
     ``coeff`` has unit diagonal and ``-c_ij / (n - s_i - 1)`` where the
@@ -39,26 +37,12 @@ class ArithmeticSystem:
     ``row_denominators`` keeps the per-row averaging counts for audit.
     """
 
-    coeff: np.ndarray
-    constants: np.ndarray
     row_denominators: tuple[int, ...]
 
-    def ranking(self, partition: Partition) -> Ranking:
-        """Solve; raises ``SingularMatrixError`` when there is no unique
-        solution or a priority underflows to 0, ``NonPositiveSolutionError``
-        for a negative priority.
-
-        A guarded system has nonnegative constants and every unknown reaches
-        a positive one, so an exact solution with no negative entry is
-        positive (and its matrix an M-matrix): a 0 beside no negative is an
-        underflow, not the method's failure.
-        """
-        x = solve(self.coeff, self.constants)
+    def _priorities(self, x: np.ndarray) -> np.ndarray:
         if np.any(x < 0.0):
             raise NonPositiveSolutionError(x)
-        if not x.all():
-            raise SingularMatrixError("computed priorities leave the float range")
-        return Ranking(tuple(x.tolist()) + partition.known, partition.k)
+        return x
 
 
 @np.errstate(over="ignore")  # overflow gives inf, which solve rejects

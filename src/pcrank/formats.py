@@ -546,10 +546,8 @@ def _json_layout(members: list[str], depth: int, brackets: str = "{}") -> str:
 
 
 def _json_object(keys: Iterable[str], values: Iterable[str], depth: int) -> str:
-    """The object of ``keys`` and encoded ``values``; a repeated key keeps its
-    first place and its last value, as in a dict."""
-    items = dict(zip(keys, values)).items()
-    return _json_layout([f"{json.dumps(key)}: {value}" for key, value in items], depth)
+    """The object of ``keys`` and encoded ``values``."""
+    return _json_layout([f"{json.dumps(key)}: {value}" for key, value in zip(keys, values)], depth)
 
 
 def _csv_text(rows: Iterable[Sequence[str]]) -> str:
@@ -569,6 +567,8 @@ def serialize_ranking(
     """
     if len(labels) != len(values):
         raise StructureError(f"{len(labels)} labels but {len(values)} values")
+    if len(set(labels)) != len(labels):
+        raise StructureError(f"duplicate labels: {sorted({l for l in labels if labels.count(l) > 1})}")
     if fmt == "csv":
         return _csv_text([(label, f"{value:.12g}") for label, value in zip(labels, values)])
     if fmt == "json":
@@ -585,6 +585,8 @@ def serialize_table(
     for name, values in columns.items():
         if len(values) != len(labels):
             raise StructureError(f"column {name!r}: {len(labels)} labels but {len(values)} values")
+    if len(set(labels)) != len(labels):
+        raise StructureError(f"duplicate labels: {sorted({l for l in labels if labels.count(l) > 1})}")
     cells = {name: [f"{value:.12g}" for value in values] for name, values in columns.items()}
     if fmt == "csv":
         return _csv_text([("label", *cells), *zip(labels, *cells.values())])

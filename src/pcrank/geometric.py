@@ -20,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrixError
-from .linsolve import solve
+from .linsolve import _System
 from .matrix import DEFAULT_TOL, PCMatrix, Partition, Ranking, ensure_solvable
 
 
 @dataclass(frozen=True, eq=False)
-class GeometricSystem:
+class GeometricSystem(_System):
     """Log-linear system for the unknown priorities.
 
     ``coeff[i][i]`` is the defined-comparison count ``n - s_i - 1``;
@@ -38,20 +37,11 @@ class GeometricSystem:
     cannot overflow.
     """
 
-    coeff: np.ndarray
-    constants: np.ndarray
     log_base: float
 
-    def ranking(self, partition: Partition) -> Ranking:
-        """Solve and exponentiate; ``SingularMatrixError`` when a priority
-        leaves the float range or the system is singular (after the guard
-        the matrix is diagonally dominant, which rules that out in practice)."""
-        exponents = solve(self.coeff, self.constants)
-        with np.errstate(over="ignore"):
-            computed = np.exp(exponents * math.log(self.log_base))
-        if not ((computed > 0.0) & (computed < math.inf)).all():
-            raise SingularMatrixError("computed priorities leave the float range")
-        return Ranking(tuple(computed.tolist()) + partition.known, partition.k)
+    @np.errstate(over="ignore")  # inf, which ranking rejects
+    def _priorities(self, exponents: np.ndarray) -> np.ndarray:
+        return np.exp(exponents * math.log(self.log_base))
 
 
 def build_geometric_system(

@@ -14,18 +14,24 @@ Plemmons, *Nonnegative Matrices in the Mathematical Sciences*, ch. 6), so
 ``inv(A) >= 0``, its column sums are z and ``cond_1(A) = ||A||_1 * max(z)``.
 For the arithmetic rule ``A = I - B`` this certificate holds exactly when
 the spectral radius of B is below 1, Kulakowski's existence condition for a
-positive solution.  Any other matrix (not a Z-matrix, no positive z, or a
-check that rounding spoils, far beyond :data:`MAX_CONDITION`) falls back to
-``np.linalg.cond``, which forms an explicit inverse and costs about four
-solves.  The two agree to rounding; only the last digit of the condition
-number quoted in an error message can differ.
+positive solution: a guarded system has nonnegative constants that reach
+every unknown, so each priority is positive and a 0 is an underflow.  Above
+1 some priority is negative (at 1, A is singular).  Any other matrix (not a
+Z-matrix, no positive z, or a check that rounding spoils, far beyond
+:data:`MAX_CONDITION`) falls back to ``np.linalg.cond``, which forms an
+explicit inverse and costs about four solves.  The two agree to rounding;
+only the last digit of the condition number quoted in an error message can
+differ.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import SingularMatrixError
+from .matrix import Partition, Ranking
 
 #: Largest 1-norm condition number accepted; beyond it the solution carries
 #: no correct digits worth ranking by (float64 keeps about 16).
@@ -74,3 +80,20 @@ def solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise SingularMatrixError("solution overflowed; system is effectively singular")
     return x
+
+
+@dataclass(frozen=True, eq=False)
+class _System:
+    """The k-by-k system ``coeff @ x = constants`` of an estimation rule,
+    whose ``_priorities`` turns the solution x into the unknown priorities."""
+
+    coeff: np.ndarray
+    constants: np.ndarray
+
+    def ranking(self, partition: Partition) -> Ranking:
+        """Solve, then append the known priorities; ``SingularMatrixError`` when
+        there is no unique solution or a priority leaves the positive floats."""
+        computed = self._priorities(solve(self.coeff, self.constants))
+        if not ((computed > 0.0) & (computed < np.inf)).all():
+            raise SingularMatrixError("computed priorities leave the float range")
+        return Ranking(tuple(computed.tolist()) + partition.known, partition.k)

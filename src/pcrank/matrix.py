@@ -288,6 +288,8 @@ class Diagnostics:
 def validate_reciprocity(matrix: PCMatrix, tol: float = DEFAULT_TOL) -> list[ReciprocityViolation]:
     """Report every defined pair whose product c_ij * c_ji strays from 1 by
     more than ``tol``.  An empty list means reciprocal within tolerance."""
+    if not tol >= 0.0:  # a NaN tol would pass every pair
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
     a = matrix.array
     # Missing cells are NaN, and NaN never compares greater than tol.
     far = np.abs(a * a.T - 1.0) > tol
@@ -302,6 +304,8 @@ def _triad_columns(matrix: PCMatrix, tol: float):
     ``itertools.combinations``.  The j < k pairs are listed once with c_kj;
     row ``i``'s (j > i) are a suffix of them, scanned in one 1-D pass.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
     a = matrix.array
     pair_j, pair_k = np.triu_indices(matrix.n, 1)
     pair_c_kj = a[pair_k, pair_j]

@@ -714,6 +714,23 @@ class TestSerialize:
                 serialize_table(labels, {"x": column}, fmt)
             assert str(got.value) == f"column 'x': {len(labels)} labels but {len(column)} values"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda labels, values, fmt: serialize_ranking(labels, values, fmt),
+            lambda labels, values, fmt: serialize_table(labels, {"x": values}, fmt),
+        ],
+        ids=["ranking", "table"],
+    )
+    def test_repeated_labels_are_rejected(self, write, fmt):
+        # A JSON object would keep one of them; every reader rejects them.
+        with pytest.raises(StructureError) as got:
+            write(("b", "a", "b", "c", "a"), (1.0, 2.0, 3.0, 4.0, 5.0), fmt)
+        assert str(got.value) == "duplicate labels: ['a', 'b']"
+        with pytest.raises(StructureError, match="labels but"):  # the length is checked first
+            write(("a", "a"), (1.0,), fmt)
+
     def test_format_value_styles(self):
         assert format_value(0.5) == "0.5"
         assert format_value(0.5, "fraction") == "1/2"

@@ -781,3 +781,25 @@ class TestInputRuleMessages:
     def test_empty_array_is_an_empty_matrix(self):
         matrix = PCMatrix(np.zeros((0, 0)))
         assert matrix.n == 0 and matrix.array.shape == matrix.mask.shape == (0, 0)
+
+
+# Not reciprocal: c_10 = 3 against 1 / c_01 = 0.5.
+NON_RECIPROCAL = PCMatrix(((1, 2, 4), (3, 1, 2), (0.25, 0.5, 1)))
+TOL_CALLS = {
+    "validate_reciprocity": lambda tol: validate_reciprocity(NON_RECIPROCAL, tol),
+    "check_consistency": lambda tol: check_consistency(NON_RECIPROCAL, tol),
+    "diagnose": lambda tol: diagnose(NON_RECIPROCAL, Partition(2, (1.0,)), tol),
+    "ensure_solvable": lambda tol: ensure_solvable(NON_RECIPROCAL, Partition(2, (1.0,)), tol),
+    "solve_arithmetic": lambda tol: solve_arithmetic(NON_RECIPROCAL, Partition(2, (1.0,)), tol),
+    "solve_geometric": lambda tol: solve_geometric(NON_RECIPROCAL, Partition(2, (1.0,)), tol=tol),
+}
+
+
+@pytest.mark.parametrize("call", TOL_CALLS.values(), ids=TOL_CALLS)
+@pytest.mark.parametrize("tol, shown", [(math.nan, "nan"), (-1.0, "-1.0"), (-math.inf, "-inf")])
+def test_tol_must_be_a_non_negative_number(call, tol, shown):
+    # A NaN tol would compare false everywhere and switch the checks off.
+    with pytest.raises(ValueError) as got:
+        call(tol)
+    assert str(got.value) == f"tol must be a non-negative number, got {shown}"
+
