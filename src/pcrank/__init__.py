@@ -13,7 +13,6 @@ from .arithmetic import ArithmeticSystem, build_arithmetic_system, solve_arithme
 from .baselines import BaselineResult, evm, gmm
 from .errors import (
     DegenerateRowError,
-    IncompleteMatrixError,
     KnownComparisonWarning,
     NoConvergenceError,
     NonPositiveSolutionError,

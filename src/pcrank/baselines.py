@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompleteMatrixError, NoConvergenceError, StructureError
+from .errors import NoConvergenceError, StructureError
 from .matrix import PCMatrix
 
 _MAX_ITERATIONS = 10000  # evm's power-iteration budget
@@ -42,7 +42,7 @@ def _as_array(matrix: PCMatrix) -> np.ndarray:
     if not matrix.n:
         raise StructureError("matrix has no alternatives; this method needs at least one")
     if not matrix.is_complete:
-        raise IncompleteMatrixError(
+        raise StructureError(
             f"matrix has {len(matrix.missing_pairs())} missing pair(s); "
             f"this method needs a complete matrix"
         )

@@ -1,9 +1,9 @@
 """Command-line interface: validate, rank, complete, and compare.
 
 Exit codes are a stable contract: 0 success, 1 findings (check only),
-2 input or validation error, 3 solver failure.  Failures print a single
-machine-readable line to stderr (``CODE: detail``); results go to stdout or
-``--output``.
+2 input or validation error, 3 solver failure or out of memory.  Failures
+print a single machine-readable line to stderr (``CODE: detail``); results
+go to stdout or ``--output``.
 
 ``main(argv)`` may be called any number of times in one process: it builds
 its argument parser on the first call and reuses it, since parsing only
@@ -63,7 +63,10 @@ def _emit(args, chunks: Iterable[str]) -> None:
         with open(args.output, "w", encoding="utf-8") as out:
             out.writelines(chunks)
     else:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+        except UnicodeEncodeError as exc:  # --output writes UTF-8, whatever stdout's encoding
+            raise OSError(f"stdout cannot encode {exc.object[exc.start:exc.end]!r}; use --output") from None
 
 
 def _format_of(args) -> str:
@@ -238,6 +241,8 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    if args.input == args.known == "-":
+        _parser().error("argument --known: stdin (-) is already the input")
 
     def show_warning(message, category, filename, lineno, file=None, line=None):
         print(f"WARNING: {message}", file=sys.stderr)
@@ -253,6 +258,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"IO_ERROR: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"OUT_OF_MEMORY: {str(exc) or 'the command ran out of memory'}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -101,12 +101,6 @@ class NoConvergenceError(PcrankError):
     exit_code = 3
 
 
-class IncompleteMatrixError(PcrankError):
-    """A method that requires a complete matrix was given missing entries."""
-
-    code = "INCOMPLETE_MATRIX"
-
-
 class KnownComparisonWarning(UserWarning):
     """Comparisons among known alternatives disagree with their fixed
     priorities; such entries are ignored by the solvers."""

@@ -3,7 +3,6 @@ import pytest
 
 from pcrank import (
     MISSING,
-    IncompleteMatrixError,
     NoConvergenceError,
     PCMatrix,
     Partition,
@@ -85,7 +84,7 @@ class TestEvm:
 
     def test_incomplete_rejected(self):
         m = PCMatrix(((1, MISSING), (MISSING, 1)))
-        with pytest.raises(IncompleteMatrixError):
+        with pytest.raises(StructureError, match="missing pair"):
             evm(m)
 
     def test_iteration_budget(self, monkeypatch):
@@ -139,7 +138,7 @@ class TestGmm:
 
     def test_incomplete_rejected(self):
         m = PCMatrix(((1, 2, MISSING), (0.5, 1, 2), (MISSING, 0.5, 1)))
-        with pytest.raises(IncompleteMatrixError):
+        with pytest.raises(StructureError, match="missing pair"):
             gmm(m)
 
 

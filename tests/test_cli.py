@@ -315,6 +315,49 @@ class TestErrorPaths:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command,step", [("check", "diagnose"), ("rank", "ensure_solvable")])
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch, command, step):
+        """Running out of memory is a failure line and exit 3, not a traceback
+        with exit 1, the code ``check`` gives its findings."""
+
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, step, exhausted)
+        assert main([command, write(tmp_path, "micro.csv", MICRO_CSV)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "OUT_OF_MEMORY: the command ran out of memory\n"
+
+    @pytest.mark.parametrize(
+        "command", [["rank"], ["check"], ["compare"], ["complete", "--method", "geometric"]]
+    )
+    def test_stdout_that_cannot_encode_a_label(self, tmp_path, capsys, monkeypatch, command):
+        """An input error naming ``--output``, which writes UTF-8, whatever
+        stdout's encoding."""
+        text = MICRO_CSV.replace("label,a,", "label,é,").replace("\na,", "\né,")
+        path = write(tmp_path, "accent.csv", text)
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main([command[0], path, *command[1:]]) == 2
+        stdout.flush()
+        assert stdout.buffer.getvalue() == b""
+        assert capsys.readouterr().err == "IO_ERROR: stdout cannot encode 'é'; use --output\n"
+        assert main([command[0], path, *command[1:], "--output", str(tmp_path / "out")]) == 0
+        assert "é" in (tmp_path / "out").read_text(encoding="utf-8")
+
+    def test_known_and_input_cannot_both_be_stdin(self, capsys, monkeypatch):
+        """One stdin cannot hold both files: a usage error, before either is read."""
+        stdin = io.StringIO(MICRO_CSV)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", "-", "--known", "-"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage:") and "--known" in captured.err
+        assert stdin.tell() == 0
+
 
 NO_KNOWN = "PARSE_ERROR: no known priorities declared; ranking needs at least one fixed alternative\n"
 ALL_KNOWN = "PARSE_ERROR: every alternative already has a known priority; nothing to compute\n"

@@ -22,7 +22,7 @@ CODES = {
     "NON_POSITIVE_SOLUTION",
     "IO_ERROR",
     "NO_CONVERGENCE",
-    "INCOMPLETE_MATRIX",
+    "OUT_OF_MEMORY",
 }
 
 COMMANDS = [

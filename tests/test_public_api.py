@@ -13,7 +13,6 @@ PUBLIC_NAMES = [
     "DegenerateRowError",
     "Diagnostics",
     "GeometricSystem",
-    "IncompleteMatrixError",
     "KnownComparisonWarning",
     "MISSING",
     "NoConvergenceError",
