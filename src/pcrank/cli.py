@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import os
 import sys
 import warnings
 from itertools import chain, combinations
@@ -69,22 +70,6 @@ def _emit(args, chunks: Iterable[str]) -> None:
             raise OSError(f"stdout cannot encode {exc.object[exc.start:exc.end]!r}; use --output") from None
 
 
-def _format_of(args) -> str:
-    if args.format:
-        return args.format
-    return "json" if args.input.lower().endswith(".json") else "csv"
-
-
-def _load(args) -> Problem:
-    known_text = _read_text(args.known) if args.known else None
-    return parse_problem(
-        _read_text(args.input),
-        fmt=_format_of(args),
-        known_text=known_text,
-        force_reciprocal=args.force_reciprocal,
-    )
-
-
 def _solve_methods(problem: Problem, methods, tol: float):
     """The ranking by each method in ``methods``, behind one run of the guard."""
     matrix, partition = problem.matrix, problem.partition
@@ -97,24 +82,21 @@ def _in_file_order(problem: Problem, columns: dict) -> dict:
     return {name: [values[i] for i in order] for name, values in columns.items()}
 
 
-def cmd_rank(args) -> int:
-    problem = _load(args)
+def cmd_rank(args, problem: Problem) -> int:
     methods = ["arithmetic", "geometric"] if args.method == "both" else [args.method]
     rankings = _solve_methods(problem, methods, args.tol)
     if args.normalize:
         rankings = {name: r.normalized() for name, r in rankings.items()}
 
     columns = _in_file_order(problem, {name: r.values for name, r in rankings.items()})
-    fmt = _format_of(args)
     if len(methods) == 1:
-        _emit(args, [serialize_ranking(problem.original_labels, columns[args.method], fmt)])
+        _emit(args, [serialize_ranking(problem.original_labels, columns[args.method], args.format)])
     else:
-        _emit(args, [serialize_table(problem.original_labels, columns, fmt)])
+        _emit(args, [serialize_table(problem.original_labels, columns, args.format)])
     return 0
 
 
-def cmd_check(args) -> int:
-    problem = _load(args)
+def cmd_check(args, problem: Problem) -> int:
     try:
         partition, unusable = problem.partition, None
     except PcrankError as exc:  # no known or no unknown alternative: a finding
@@ -145,17 +127,15 @@ def cmd_check(args) -> int:
     return 0 if report.clean and unusable is None else 1
 
 
-def cmd_complete(args) -> int:
-    problem = _load(args)
+def cmd_complete(args, problem: Problem) -> int:
     ranking = _solve_methods(problem, [args.method], args.tol)[args.method]
     filled = fill_missing(problem.matrix, ranking.values)
     completed = dataclasses.replace(problem, matrix=filled)
-    _emit(args, [serialize_problem(completed, _format_of(args), args.number_style)])
+    _emit(args, [serialize_problem(completed, args.format, args.number_style)])
     return 0
 
 
-def cmd_compare(args) -> int:
-    problem = _load(args)
+def cmd_compare(args, problem: Problem) -> int:
     rankings = _solve_methods(problem, ["arithmetic", "geometric"], args.tol)
     columns = {name: rankings[name].normalized().values for name in rankings}
     if problem.matrix.is_complete:
@@ -241,8 +221,15 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.input == args.known == "-":
-        _parser().error("argument --known: stdin (-) is already the input")
+    if args.known and "-" in (args.input, args.known):  # stdin by any name holds one file
+        other = args.known if args.input == "-" else args.input
+        try:
+            same = other == "-" or os.path.samestat(os.fstat(0), os.stat(other))
+        except OSError:  # not stdin: the read reports it
+            same = False
+        if same:
+            _parser().error("argument --known: stdin (-) is already the input")
+    args.format = args.format or ("json" if args.input.lower().endswith(".json") else "csv")
 
     def show_warning(message, category, filename, lineno, file=None, line=None):
         print(f"WARNING: {message}", file=sys.stderr)
@@ -251,7 +238,9 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("always", KnownComparisonWarning)
             warnings.showwarning = show_warning
-            return args.handler(args)
+            known_text = _read_text(args.known) if args.known else None
+            problem = parse_problem(_read_text(args.input), args.format, known_text, args.force_reciprocal)
+            return args.handler(args, problem)
     except PcrankError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -207,17 +207,15 @@ def triad_listing(labels: Sequence[str], columns) -> Iterator[str]:
     Each label is encoded once into NUL-padded cells ``"  (a, "``, ``"b, "``
     and ``"c): deviation "``.  A piece is one byte matrix whose rows are the
     cells of i, j and k beside the :func:`_g_bytes` row of the deviation, and
-    one pass drops the padding.  A NUL in a label is written as 0xFF, a byte
-    UTF-8 never holds, and mapped back in that pass only when a label has one.
+    one pass drops the padding, so no label may hold NUL.
     """
     i, j, k, deviation = columns
-    encoded = [label.encode().replace(b"\0", b"\xff") for label in labels]
+    encoded = [label.encode() for label in labels]
     cells = [  # S{width} arrays: each cell padded with NUL to the widest
         np.array([head + label + tail for label in encoded], dtype=bytes)
         for head, tail in [(b"  (", b", "), (b"", b", "), (b"", b"): deviation ")]
     ]
     line = np.dtype([("", cell.dtype) for cell in cells] + [("", "S16")])  # i, j, k, deviation
-    nul = bytes.maketrans(b"\xff", b"\0") if any("\0" in label for label in labels) else None
     step = max(1, min(_BLOCK_VALUES, (1 << 20) // line.itemsize))  # long labels: pieces of 1 MiB
     for start in range(0, len(deviation), step):
         rows = slice(start, start + step)
@@ -226,7 +224,7 @@ def triad_listing(labels: Sequence[str], columns) -> Iterator[str]:
         for name, cell, index in zip(line.names, cells, (i, j, k)):
             piece[name] = cell.take(index[rows])
         piece[line.names[3]] = number.view("S16")[:, 0]
-        yield piece.tobytes().translate(nul, b"\0").decode()
+        yield piece.tobytes().translate(None, b"\0").decode()
 
 
 def _csv_rows(text: str, first_line: int = 1) -> list[tuple[int, list[str]]]:
@@ -472,6 +470,8 @@ def _canonicalize(labels: list[str], grid: np.ndarray, known: dict[str, float]) 
             label.encode()
         except UnicodeEncodeError:
             raise ParseError(f"alternative label {label!r} holds a lone surrogate") from None
+        if "\0" in label:  # a JSON escape: no CSV output could hold it
+            raise ParseError(f"alternative label {label!r} holds NUL")
     if len(set(labels)) != len(labels):
         dupes = sorted({l for l in labels if labels.count(l) > 1})
         raise StructureError(f"duplicate alternative labels: {dupes}")

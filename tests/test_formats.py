@@ -1113,7 +1113,13 @@ def test_g12_kernel_fixed_values(values):
     assert formats._g_lines(np.array(values, dtype=float), 12) == g12_reference(values)
 
 
-_listing_labels = st.text(st.one_of(st.characters(), st.sampled_from("\0\n\xff名𝔸")), max_size=5)
+_listing_labels = st.text(  # parse_problem refuses NUL and lone surrogates in a label
+    st.one_of(
+        st.characters(exclude_categories=["Cs"], exclude_characters="\0"),
+        st.sampled_from("\n\xff名𝔸"),
+    ),
+    max_size=5,
+)
 _deviations = st.one_of(
     st.sampled_from([0.0, math.inf, 5e-324, 2.2250738585072014e-308]),
     st.floats(0.0, 2.2250738585072014e-308),  # subnormals
@@ -1129,8 +1135,8 @@ _deviations = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_triad_listing_matches_line_by_line(data):
-    """Labels of any text (NUL, newlines and characters of 1 to 4 UTF-8 bytes
-    among them), deviations from 0 to inf, and pieces of 1 to 40 rows."""
+    """Labels of any text without NUL (newlines and characters of 1 to 4 UTF-8
+    bytes among them), deviations from 0 to inf, and pieces of 1 to 40 rows."""
     labels = data.draw(st.lists(_listing_labels, min_size=1, max_size=6))
     index = st.integers(0, len(labels) - 1)
     rows = data.draw(st.lists(st.tuples(index, index, index, _deviations), max_size=60))
